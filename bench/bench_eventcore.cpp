@@ -10,13 +10,11 @@
  *  - near_window:     uniform spread inside the bucket window
  *                     (bucketed inserts + per-bucket sorting).
  *  - same_timestamp:  massive tie batches (equal-time run promotion).
- *  - far_future:      events beyond the window (overflow heap +
- *                     window re-basing).
- *  - adaptive_rerun:  reuse a queue via reset(): the second run uses
- *                     the bucket width adapted from the first run's
- *                     observed event spacing (the recorded
- *                     bucket_width_ns is the chosen width; 64 ns is
- *                     the cold-start fallback).
+ *  - far_future:      events up to 60 s ahead: mostly the overflow
+ *                     heap, migrating through the coarse ring.
+ *  - adaptive_rerun:  two runs of ~700 ns-spaced events on one queue
+ *                     reused via reset() (the second run schedules
+ *                     into the pooled chunks the first one left).
  *  - collective_4096: 1 MB All-Reduce on a 4096-NPU 3-D torus over
  *                     the analytical backend (bench_speedup's anchor).
  */
@@ -43,7 +41,6 @@ struct BenchResult
     uint64_t events = 0;
     double seconds = 0.0;
     double simTimeNs = 0.0; //!< only for the collective anchor.
-    double bucketWidthNs = 0.0; //!< only for the adaptive scenario.
 
     double
     eventsPerSec() const
@@ -133,17 +130,15 @@ benchFarFuture(uint64_t n)
 BenchResult
 benchAdaptiveRerun(uint64_t n)
 {
-    return timed("adaptive_rerun", [n](BenchResult &r) -> uint64_t {
-        EventQueue eq; // default-constructed => adaptive on reset().
+    return timed("adaptive_rerun", [n](BenchResult &) -> uint64_t {
+        EventQueue eq;
         Rng rng(3);
-        // Event spacing ~700 ns (typical multi-hop latency scale):
-        // the 64 ns cold-start width is ~11x too fine for it.
+        // Event spacing ~700 ns (typical multi-hop latency scale).
         const TimeNs span = 700.0 * double(n);
         for (uint64_t i = 0; i < n; ++i)
             eq.schedule(rng.uniform(0.0, span), [] {});
         eq.run();
-        eq.reset(); // samples the observed spacing, picks a width.
-        r.bucketWidthNs = eq.bucketWidth();
+        eq.reset();
         for (uint64_t i = 0; i < n; ++i)
             eq.schedule(rng.uniform(0.0, span), [] {});
         eq.run();
@@ -181,11 +176,10 @@ writeJson(const char *path, const std::vector<BenchResult> &results)
         const BenchResult &r = results[i];
         std::fprintf(f,
                      "    \"%s\": {\"events\": %llu, \"seconds\": %.6f, "
-                     "\"events_per_sec\": %.0f, \"sim_time_ns\": %.3f, "
-                     "\"bucket_width_ns\": %.3f}%s\n",
+                     "\"events_per_sec\": %.0f, \"sim_time_ns\": %.3f}%s\n",
                      r.name.c_str(),
                      static_cast<unsigned long long>(r.events), r.seconds,
-                     r.eventsPerSec(), r.simTimeNs, r.bucketWidthNs,
+                     r.eventsPerSec(), r.simTimeNs,
                      i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  }\n}\n");
@@ -221,9 +215,6 @@ main(int argc, char **argv)
                     r.eventsPerSec() / 1e6);
         if (r.simTimeNs > 0.0)
             std::printf("  (sim time %.3f us)", r.simTimeNs / 1e3);
-        if (r.bucketWidthNs > 0.0)
-            std::printf("  (adapted bucket width %.1f ns)",
-                        r.bucketWidthNs);
         std::printf("\n");
     }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -20,24 +21,38 @@ log2Slot(size_t n)
     return w < 31 ? w : 31;
 }
 
+template <size_t W>
+inline void
+setBit(std::array<uint64_t, W> &bits, size_t i)
+{
+    bits[i / 64] |= uint64_t{1} << (i % 64);
+}
+
+template <size_t W>
+inline void
+clearBit(std::array<uint64_t, W> &bits, size_t i)
+{
+    bits[i / 64] &= ~(uint64_t{1} << (i % 64));
+}
+
+/** Index of the first set bit at or after `from`, or -1 if none. */
+template <size_t W>
+inline int64_t
+findFrom(const std::array<uint64_t, W> &bits, size_t from)
+{
+    size_t w = from / 64;
+    if (w >= W)
+        return -1;
+    uint64_t word = bits[w] & (~uint64_t{0} << (from % 64));
+    while (word == 0) {
+        if (++w == W)
+            return -1;
+        word = bits[w];
+    }
+    return static_cast<int64_t>(w * 64 + std::countr_zero(word));
+}
+
 } // namespace
-
-EventQueue::EventQueue(TimeNs bucket_width, bool adaptive)
-    : bucketWidth_(bucket_width), invWidth_(1.0 / bucket_width),
-      adaptive_(adaptive)
-{
-    ASTRA_ASSERT(bucket_width > 0.0, "bucket width must be positive");
-}
-
-void
-EventQueue::setBucketWidth(TimeNs width)
-{
-    ASTRA_ASSERT(pending_ == 0,
-                 "bucket width can only change on an empty queue");
-    ASTRA_ASSERT(width > 0.0, "bucket width must be positive");
-    bucketWidth_ = width;
-    invWidth_ = 1.0 / width;
-}
 
 bool
 EventQueue::entryBefore(const Entry &a, const Entry &b)
@@ -51,6 +66,16 @@ bool
 EventQueue::entryAfter(const Entry &a, const Entry &b)
 {
     return entryBefore(b, a);
+}
+
+int64_t
+EventQueue::tickLimitOf(TimeNs until)
+{
+    // Beyond ~2^62 ticks every schedulable event is within the limit.
+    constexpr TimeNs kMaxTicks = 4.0e18;
+    TimeNs ticks = until * (1.0 / kBucketWidthNs);
+    return ticks < kMaxTicks ? static_cast<int64_t>(ticks)
+                             : std::numeric_limits<int64_t>::max();
 }
 
 void
@@ -73,94 +98,125 @@ EventQueue::scheduleAt(TimeNs when, EventCallback cb)
         nowFifo_.push_back(std::move(cb));
         return;
     }
-    if (timedScheduled_ == 0 || when < firstTimedWhen_)
-        firstTimedWhen_ = when;
-    if (timedScheduled_ == 0 || when > lastTimedWhen_)
-        lastTimedWhen_ = when;
-    ++timedScheduled_;
-    int64_t tick = tickOf(when);
-    if (tick < baseTick_)
-        rebaseWindow(tick);
+    // when > now_ >= the active tick's start, because the clock never
+    // moves the active tick past now_ (runUntil() bounds how far
+    // ensureNext() may advance), so no entry lands behind the window.
     Entry e{when, seq_++, std::move(cb)};
-    if (tick >= baseTick_ + static_cast<int64_t>(kNumBuckets)) {
-        overflow_.push_back(std::move(e));
-        std::push_heap(overflow_.begin(), overflow_.end(), entryAfter);
+    if (activeSorted_ && tickOf(when) == baseTick_) {
+        // Insert into the live (sorted) active tick at its slot.
+        auto pos = std::upper_bound(
+            active_.begin() + static_cast<ptrdiff_t>(activeHead_),
+            active_.end(), e, entryBefore);
+        active_.insert(pos, std::move(e));
         return;
     }
-    std::vector<Entry> &bucket = bucketAt(tick);
-    if (tick == baseTick_ && activeSorted_) {
-        // Insert into the live (sorted) bucket at its ordered slot.
-        auto pos = std::upper_bound(bucket.begin() +
-                                        static_cast<ptrdiff_t>(activeHead_),
-                                    bucket.end(), e, entryBefore);
-        bucket.insert(pos, std::move(e));
-    } else {
-        bucket.push_back(std::move(e));
-    }
-    ++windowCount_;
+    place(std::move(e));
 }
 
 void
-EventQueue::rebaseWindow(int64_t tick)
+EventQueue::place(Entry &&e)
 {
-    // A new event lands below the window base. This can only happen
-    // when runUntil() stopped inside a gap: ensureNext() had already
-    // advanced the window to the next pending event's tick (beyond
-    // `until`), and the caller then scheduled between `until` and that
-    // event. No event of the current base bucket has executed in that
-    // state (executing one would have pulled now_ — and so every later
-    // schedule — up to baseTick_), so the window holds no moved-out
-    // entries and can be spilled wholesale.
-    ASTRA_ASSERT(activeHead_ == 0, "rebase with a part-drained bucket");
-    if (windowCount_ > 0) {
-        for (std::vector<Entry> &bucket : buckets_) {
-            for (Entry &e : bucket) {
-                overflow_.push_back(std::move(e));
-                std::push_heap(overflow_.begin(), overflow_.end(),
-                               entryAfter);
-            }
-            bucket.clear();
-        }
-        windowCount_ = 0;
+    const int64_t tick = tickOf(e.when);
+    const int64_t ahead = blockOf(tick) - curBlock_;
+    ASTRA_ASSERT(tick >= baseTick_ && ahead >= 0,
+                 "event behind the calendar window (when=%g)", e.when);
+    if (ahead == 0) {
+        const size_t slot = static_cast<size_t>(tick % kRingTicks);
+        append(fine_[slot], std::move(e));
+        setBit(fineBits_, slot);
+    } else if (ahead < kRingBlocks) {
+        const size_t slot =
+            static_cast<size_t>(blockOf(tick) % kRingBlocks);
+        append(coarse_[slot], std::move(e));
+        setBit(coarseBits_, slot);
+    } else {
+        overflow_.push_back(std::move(e));
+        std::push_heap(overflow_.begin(), overflow_.end(), entryAfter);
     }
-    baseTick_ = tick;
-    activeSorted_ = false;
+}
+
+void
+EventQueue::append(Bucket &bucket, Entry &&e)
+{
+    Chunk *chunk = bucket.tail;
+    if (chunk == nullptr || chunk->size == kChunkEntries) {
+        if (freeChunks_ == nullptr) {
+            chunks_.push_back(std::make_unique<Chunk>());
+            freeChunks_ = chunks_.back().get();
+        }
+        Chunk *fresh = freeChunks_;
+        freeChunks_ = fresh->next;
+        fresh->next = nullptr;
+        (chunk != nullptr ? chunk->next : bucket.head) = fresh;
+        bucket.tail = fresh;
+        chunk = fresh;
+    }
+    chunk->entries[chunk->size++] = std::move(e);
+}
+
+template <typename Sink>
+void
+EventQueue::drain(Bucket &bucket, Sink &&sink)
+{
+    Chunk *chunk = bucket.head;
+    while (chunk != nullptr) {
+        for (size_t i = 0; i < chunk->size; ++i)
+            sink(std::move(chunk->entries[i]));
+        Chunk *next = chunk->next;
+        chunk->size = 0;
+        chunk->next = freeChunks_;
+        freeChunks_ = chunk;
+        chunk = next;
+    }
+    bucket = Bucket{};
 }
 
 void
 EventQueue::activate(int64_t tick)
 {
     baseTick_ = tick;
-    // Overflow entries that fall inside the re-based window migrate to
-    // their buckets now, so the window invariant (overflow holds only
-    // ticks >= baseTick_ + kNumBuckets) is restored before any pop.
-    const int64_t limit = tick + static_cast<int64_t>(kNumBuckets);
-    while (!overflow_.empty() && tickOf(overflow_.front().when) < limit) {
-        std::pop_heap(overflow_.begin(), overflow_.end(), entryAfter);
-        Entry e = std::move(overflow_.back());
-        overflow_.pop_back();
-        bucketAt(tickOf(e.when)).push_back(std::move(e));
-        ++windowCount_;
-    }
-    std::vector<Entry> &bucket = bucketAt(tick);
+    const size_t slot = static_cast<size_t>(tick % kRingTicks);
+    clearBit(fineBits_, slot);
+    drain(fine_[slot],
+          [this](Entry &&e) { active_.push_back(std::move(e)); });
     // Appends carry monotonically increasing seq, so a bucket filled
     // in nondecreasing time order — the common case: synchronized
     // completion waves put hundreds of equal-timestamp events in one
     // bucket — is already in (when, seq) order. Detect that in one
     // early-exit pass instead of paying the full sort; a genuinely
     // shuffled bucket fails the check within a few elements.
-    if (!std::is_sorted(bucket.begin(), bucket.end(), entryBefore))
-        std::sort(bucket.begin(), bucket.end(), entryBefore);
+    if (!std::is_sorted(active_.begin(), active_.end(), entryBefore))
+        std::sort(active_.begin(), active_.end(), entryBefore);
     activeHead_ = 0;
     activeSorted_ = true;
     if (prof_) {
         ++prof_->bucketActivations;
-        ++prof_->bucketHist[log2Slot(bucket.size())];
+        ++prof_->bucketHist[log2Slot(active_.size())];
+    }
+}
+
+void
+EventQueue::enterBlock(int64_t block)
+{
+    curBlock_ = block;
+    baseTick_ = block * kRingTicks;
+    const size_t slot = static_cast<size_t>(block % kRingBlocks);
+    clearBit(coarseBits_, slot);
+    drain(coarse_[slot], [this](Entry &&e) { place(std::move(e)); });
+    // The coarse window now reaches kNumBlocks - 1 blocks past
+    // `block`: overflow entries it covers migrate into the rings, so
+    // the heap again holds only blocks beyond the window.
+    while (!overflow_.empty() &&
+           blockOf(tickOf(overflow_.front().when)) - block < kRingBlocks) {
+        std::pop_heap(overflow_.begin(), overflow_.end(), entryAfter);
+        Entry e = std::move(overflow_.back());
+        overflow_.pop_back();
+        place(std::move(e));
     }
 }
 
 bool
-EventQueue::ensureNext()
+EventQueue::ensureNext(int64_t limit)
 {
     if (nowHead_ < nowFifo_.size())
         return true;
@@ -170,42 +226,48 @@ EventQueue::ensureNext()
     }
     if (pending_ == 0)
         return false;
+    if (activeSorted_)
+        return true; // popNext() clears it when the vector drains.
 
-    std::vector<Entry> &active = bucketAt(baseTick_);
-    if (activeHead_ < active.size()) {
-        if (!activeSorted_)
-            activate(baseTick_);
-        return true;
+    // Lowest live tick: the fine ring first (it holds the current
+    // block), then the next occupied block of the coarse ring, then
+    // the overflow heap (whose blocks lie beyond the coarse window).
+    for (;;) {
+        int64_t slot = findFrom(
+            fineBits_, static_cast<size_t>(baseTick_ % kRingTicks));
+        if (slot >= 0) {
+            const int64_t tick = curBlock_ * kRingTicks + slot;
+            if (tick > limit)
+                return false;
+            activate(tick);
+            return true;
+        }
+        int64_t block;
+        slot = findFrom(coarseBits_,
+                        static_cast<size_t>((curBlock_ + 1) % kRingBlocks));
+        if (slot < 0)
+            slot = findFrom(coarseBits_, 0);
+        if (slot >= 0) {
+            block = curBlock_ + ((slot - curBlock_) & (kRingBlocks - 1));
+        } else {
+            ASTRA_ASSERT(!overflow_.empty(), "pending events lost");
+            block = blockOf(tickOf(overflow_.front().when));
+        }
+        // Entering a block moves the window start to the block's first
+        // tick; never past `limit`, so runUntil() leaves room for the
+        // caller to schedule anywhere after `until`.
+        if (block * kRingTicks > limit)
+            return false;
+        enterBlock(block);
     }
-    if (!active.empty()) {
-        active.clear();
-        activeHead_ = 0;
-        activeSorted_ = false;
-    }
-
-    // Advance the window to the next live tick. Window entries always
-    // precede overflow entries (overflow ticks lie beyond the window),
-    // so scan the ring first and fall back to the overflow heap.
-    int64_t next;
-    if (windowCount_ > 0) {
-        int64_t tick = baseTick_ + 1;
-        while (bucketAt(tick).empty())
-            ++tick;
-        next = tick;
-    } else {
-        ASTRA_ASSERT(!overflow_.empty(), "pending events lost");
-        next = tickOf(overflow_.front().when);
-    }
-    activate(next);
-    return true;
 }
 
 TimeNs
-EventQueue::nextTime()
+EventQueue::nextTime() const
 {
     if (nowHead_ < nowFifo_.size())
         return now_;
-    return bucketAt(baseTick_)[activeHead_].when;
+    return active_[activeHead_].when;
 }
 
 InlineEvent
@@ -214,19 +276,17 @@ EventQueue::popNext()
     if (nowHead_ < nowFifo_.size())
         return std::move(nowFifo_[nowHead_++]);
 
-    std::vector<Entry> &active = bucketAt(baseTick_);
-    TimeNs t = active[activeHead_].when;
+    TimeNs t = active_[activeHead_].when;
     now_ = t;
     // Move the whole equal-time run into the FIFO: entries scheduled
     // *during* its execution at time t (strictly higher seq) then
     // naturally queue behind it, preserving (time, seq) order.
-    while (activeHead_ < active.size() && active[activeHead_].when == t) {
-        nowFifo_.push_back(std::move(active[activeHead_].cb));
+    while (activeHead_ < active_.size() && active_[activeHead_].when == t) {
+        nowFifo_.push_back(std::move(active_[activeHead_].cb));
         ++activeHead_;
-        --windowCount_;
     }
-    if (activeHead_ == active.size()) {
-        active.clear();
+    if (activeHead_ == active_.size()) {
+        active_.clear();
         activeHead_ = 0;
         activeSorted_ = false;
     }
@@ -244,7 +304,8 @@ EventQueue::run()
 TimeNs
 EventQueue::runUntil(TimeNs until)
 {
-    while (ensureNext() && nextTime() <= until)
+    const int64_t limit = tickLimitOf(until);
+    while (ensureNext(limit) && nextTime() <= until)
         step();
     if (now_ < until)
         now_ = until;
@@ -254,7 +315,7 @@ EventQueue::runUntil(TimeNs until)
 bool
 EventQueue::step()
 {
-    if (!ensureNext())
+    if (!ensureNext(std::numeric_limits<int64_t>::max()))
         return false;
     InlineEvent cb = popNext();
     --pending_;
@@ -303,63 +364,48 @@ EventQueue::setMonitor(telemetry::Monitor *monitor)
 size_t
 EventQueue::bytesInUse() const
 {
-    size_t bytes = nowFifo_.capacity() * sizeof(InlineEvent) +
-                   overflow_.capacity() * sizeof(Entry);
-    for (const std::vector<Entry> &bucket : buckets_)
-        bytes += bucket.capacity() * sizeof(Entry);
-    return bytes;
+    return nowFifo_.capacity() * sizeof(InlineEvent) +
+           (active_.capacity() + overflow_.capacity()) * sizeof(Entry) +
+           chunks_.size() * sizeof(Chunk) +
+           chunks_.capacity() * sizeof(std::unique_ptr<Chunk>);
 }
 
 void
 EventQueue::reset()
 {
-    // Plain container clears: no per-event ordering work (the old
-    // binary heap popped every entry at O(log n) apiece). Capacities
-    // are retained for reuse.
+    // No per-event ordering work: pending callbacks are destroyed in
+    // place and their chunks go back to the pool. Capacities are
+    // retained for reuse.
     nowFifo_.clear();
     nowHead_ = 0;
-    if (windowCount_ > 0) {
-        for (std::vector<Entry> &bucket : buckets_)
-            bucket.clear();
-    }
-    windowCount_ = 0;
-    overflow_.clear();
-    baseTick_ = 0;
+    active_.clear();
     activeHead_ = 0;
     activeSorted_ = false;
+    auto discard = [](Entry &&e) { e.cb = nullptr; };
+    for (Bucket &bucket : fine_)
+        drain(bucket, discard);
+    for (Bucket &bucket : coarse_)
+        drain(bucket, discard);
+    fineBits_ = {};
+    coarseBits_ = {};
+    overflow_.clear();
+    baseTick_ = 0;
+    curBlock_ = 0;
     now_ = 0.0;
     seq_ = 0;
     executed_ = 0;
     pending_ = 0;
-
-    // Adapt the bucket width to the spacing the finished run actually
-    // observed (see the header comment): mean timed-event spacing / 4
-    // keeps dependent events a few buckets ahead of the cursor. The
-    // spacing is the first-to-last timed span over the count, so a
-    // run whose timed events cluster late (long zero-delay warm-up)
-    // is not mistaken for a coarse-grained one.
-    if (adaptive_ && timedScheduled_ >= kAdaptSampleMin &&
-        lastTimedWhen_ > firstTimedWhen_) {
-        TimeNs spacing = (lastTimedWhen_ - firstTimedWhen_) /
-                         double(timedScheduled_ - 1);
-        setBucketWidth(std::clamp(spacing / 4.0, kMinBucketWidthNs,
-                                  kMaxBucketWidthNs));
-    }
-    timedScheduled_ = 0;
-    firstTimedWhen_ = 0.0;
-    lastTimedWhen_ = 0.0;
 }
 
 void
-EventQueue::reserve(size_t events, TimeNs expected_span)
+EventQueue::reserve(size_t events)
 {
     nowFifo_.reserve(events);
-    overflow_.reserve(events);
-    if (adaptive_ && pending_ == 0 && expected_span > 0.0 &&
-        events > 0) {
-        TimeNs spacing = expected_span / double(events);
-        setBucketWidth(std::clamp(spacing / 4.0, kMinBucketWidthNs,
-                                  kMaxBucketWidthNs));
+    const size_t chunks = (events + kChunkEntries - 1) / kChunkEntries;
+    while (chunks_.size() < chunks) {
+        chunks_.push_back(std::make_unique<Chunk>());
+        chunks_.back()->next = freeChunks_;
+        freeChunks_ = chunks_.back().get();
     }
 }
 

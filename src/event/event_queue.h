@@ -10,32 +10,44 @@
  * original ASTRA-sim system layer (Fig. 1(c)).
  *
  * Implementation (see docs/eventcore.md for the design note): a
- * two-level calendar queue instead of a binary heap.
+ * two-level calendar queue instead of a binary heap. Time is cut into
+ * fixed 64 ns ticks, and ticks into aligned blocks of kNumBuckets
+ * ticks.
  *
  *  - A "now FIFO" holds events scheduled at exactly the current time.
  *    Zero-delay scheduling (deferred completions, loopback sends, the
  *    simRecv eager path) is the hottest pattern in the simulator and
  *    costs O(1) push/pop with no ordering work at all, because FIFO
  *    order *is* (time, insertion-order) order for equal timestamps.
- *  - A ring of kNumBuckets buckets covers the near future in
- *    fixed-width integer ticks (tick = floor(time / bucket width)).
- *    Scheduling into a future bucket is an O(1) push; a bucket is
- *    sorted once when the clock reaches it.
- *  - Events beyond the bucket window land in an overflow min-heap and
- *    migrate into the window lazily as it advances.
+ *  - The fine ring has one bucket per tick of the current block.
+ *    Scheduling into it is an O(1) append; a bucket is moved into one
+ *    contiguous vector and sorted once when the clock reaches it.
+ *  - The coarse ring has one bucket per block for the next
+ *    kNumBlocks - 1 blocks (~67 ms). Scheduling into it is an O(1)
+ *    append; a block's bucket is poured into the fine ring once, when
+ *    the clock enters the block.
+ *  - Events beyond the coarse ring land in an overflow min-heap and
+ *    migrate into the rings as blocks are entered.
+ *
+ * Every fine and coarse bucket is a list of fixed-size chunks drawn
+ * from one free list shared by both rings, so the queue's footprint
+ * follows the live event count rather than the sum of per-bucket
+ * peaks. Occupancy bitmaps let the clock skip empty buckets a word at
+ * a time.
  *
  * Determinism guarantee: events fire in strictly nondecreasing time,
  * and events with equal timestamps fire in insertion order, exactly as
- * the old binary-heap implementation documented. The bucket width is a
- * pure performance knob — it can never reorder events, because the
- * queue always drains the lowest-tick bucket fully ordered before
- * touching later ticks, and tick order is consistent with time order.
+ * the old binary-heap implementation documented. Which tier an event
+ * waits in can never reorder events, because the queue always drains
+ * the lowest tick fully ordered by (time, seq) before touching later
+ * ticks, and tick order is consistent with time order.
  */
 #ifndef ASTRA_EVENT_EVENT_QUEUE_H_
 #define ASTRA_EVENT_EVENT_QUEUE_H_
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/units.h"
@@ -57,8 +69,8 @@ using EventCallback = InlineEvent;
  *    executed events) whose pending-event count had bit-width b —
  *    i.e. a log2 histogram of queue depth over the run.
  *  - `bucketHist[b]` is a log2 histogram of active-bucket sizes at
- *    sort time (one entry per bucket activation), which is the
- *    quantity the adaptive bucket width tries to keep small.
+ *    sort time (one entry per bucket activation): the per-activation
+ *    sort cost the 64 ns tick keeps small.
  *  - When `timeCallbacks` is set, every kCallbackSampleEvery-th
  *    callback is wall-clocked and the total is extrapolated into
  *    `callbackWallSeconds` (sampled attribution: dispatch overhead
@@ -84,7 +96,7 @@ struct QueueProfile
 };
 
 /**
- * Two-level bucketed (calendar) discrete-event scheduler.
+ * Two-level calendar discrete-event scheduler with pooled buckets.
  *
  * Events at equal timestamps fire in insertion order (stable), which
  * keeps simulations deterministic.
@@ -92,38 +104,25 @@ struct QueueProfile
 class EventQueue
 {
   public:
-    /** Near-future window granularity. One tick should be comfortably
-     *  below the typical event spacing created by link latencies
-     *  (hundreds of ns), so that dependent events land in later
-     *  buckets and the active bucket rarely takes sorted inserts. */
-    static constexpr TimeNs kDefaultBucketWidthNs = 64.0;
+    /** Tick width. One tick should be comfortably below the typical
+     *  event spacing created by link latencies (hundreds of ns), so
+     *  that dependent events land in later buckets and the active
+     *  bucket rarely takes sorted inserts. A power of two, so tick
+     *  arithmetic is exact. */
+    static constexpr TimeNs kBucketWidthNs = 64.0;
 
-    /** Buckets in the near-future ring (power of two). With the
-     *  default width the window spans ~65 us of simulated time. */
+    /** Fine-ring buckets, i.e. ticks per block (power of two): one
+     *  block spans ~65 us of simulated time. */
     static constexpr size_t kNumBuckets = 1024;
 
-    /** Bounds for the adaptive bucket width (see reset()). */
-    static constexpr TimeNs kMinBucketWidthNs = 4.0;
-    static constexpr TimeNs kMaxBucketWidthNs = 4096.0;
+    /** Coarse-ring buckets (power of two): the rings together reach
+     *  kNumBuckets * kNumBlocks ticks (~67 ms) ahead. */
+    static constexpr size_t kNumBlocks = 1024;
 
-    /** Timed events a finished run must have executed before its
-     *  spacing sample is trusted for adaptation. */
-    static constexpr uint64_t kAdaptSampleMin = 1024;
+    /** Entries per pooled chunk. */
+    static constexpr size_t kChunkEntries = 32;
 
-    /**
-     * Default-constructed queues start at kDefaultBucketWidthNs and
-     * *adapt*: each reset() re-derives the width from the event
-     * spacing the previous run actually exhibited (see reset()).
-     * Constructing with an explicit width pins it — the width is a
-     * pure performance knob either way and can never reorder events.
-     */
-    EventQueue() : EventQueue(kDefaultBucketWidthNs, true) {}
-
-    explicit EventQueue(TimeNs bucket_width)
-        : EventQueue(bucket_width, false)
-    {
-    }
-
+    EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -159,42 +158,15 @@ class EventQueue
     uint64_t executedEvents() const { return executed_; }
 
     /**
-     * Drop all pending events and reset the clock. Container
-     * capacities are kept, so a reused queue schedules without
-     * reallocating.
-     *
-     * Adaptive queues (default constructor) additionally re-derive
-     * the bucket width here from the run that just finished: the mean
-     * inter-event spacing of *timed* events — the span from the first
-     * to the last timed timestamp divided by their count (zero-delay
-     * FIFO traffic never touches the buckets and is excluded) —
-     * divided by 4, clamped to [kMinBucketWidthNs,
-     * kMaxBucketWidthNs], so dependent events keep landing a few
-     * buckets ahead whatever the workload's natural time scale. Runs
-     * below kAdaptSampleMin timed events keep the current width
-     * (kDefaultBucketWidthNs fallback). The queue is empty at this
-     * point, so changing the width cannot reorder anything — it
-     * remains a pure performance knob.
+     * Drop all pending events (destroying their callbacks) and reset
+     * the clock. Pooled chunks and container capacities are kept, so
+     * a reused queue schedules without reallocating.
      */
     void reset();
 
-    /**
-     * Pre-size the internal containers for ~`events` events. When
-     * `expected_span` is given (> 0), also seed the adaptive bucket
-     * width from the anticipated mean spacing `expected_span /
-     * events` before any event is scheduled (only meaningful on an
-     * empty adaptive queue; ignored otherwise) — for the seed to be
-     * accurate, pass the *total* timed-event count you expect over
-     * the span, not just the concurrently-pending high-water mark
-     * (the container reserve tolerates the larger figure).
-     */
-    void reserve(size_t events, TimeNs expected_span = 0.0);
-
-    /** The current near-future window granularity. */
-    TimeNs bucketWidth() const { return bucketWidth_; }
-
-    /** True when reset()/reserve() re-derive the bucket width. */
-    bool adaptiveBucketWidth() const { return adaptive_; }
+    /** Pre-size the now-FIFO and the chunk pool for ~`events`
+     *  pending events. */
+    void reserve(size_t events);
 
     /** Attach (or detach, with nullptr) a self-profiling sink; the
      *  caller keeps ownership and the profile must outlive the runs
@@ -216,50 +188,80 @@ class EventQueue
      * Heap bytes held by the queue's containers (telemetry footprint
      * protocol, docs/observability.md): capacity-based, so it is a
      * deterministic function of the event sequence, not of malloc.
+     * Pooled chunks count whether live or free, so after a burst the
+     * figure stays at the burst's chunk high-water mark.
      */
     size_t bytesInUse() const;
 
   private:
-    EventQueue(TimeNs bucket_width, bool adaptive);
-
     struct Entry
     {
-        TimeNs when;
-        uint64_t seq;
+        TimeNs when = 0.0;
+        uint64_t seq = 0;
         InlineEvent cb;
     };
 
-    /** Install a new bucket width (queue must be empty). */
-    void setBucketWidth(TimeNs width);
-
-    int64_t
-    tickOf(TimeNs when) const
+    /** Pooled storage unit of a bucket: slots [0, size) are live. */
+    struct Chunk
     {
-        return static_cast<int64_t>(when * invWidth_);
+        Chunk *next = nullptr;
+        size_t size = 0;
+        std::array<Entry, kChunkEntries> entries;
+    };
+
+    /** Append-only chunk list; empty when head is null. */
+    struct Bucket
+    {
+        Chunk *head = nullptr;
+        Chunk *tail = nullptr;
+    };
+
+    /** One occupancy bit per bucket of a ring. */
+    template <size_t N> using Bitmap = std::array<uint64_t, N / 64>;
+
+    static constexpr int64_t kRingTicks =
+        static_cast<int64_t>(kNumBuckets);
+    static constexpr int64_t kRingBlocks =
+        static_cast<int64_t>(kNumBlocks);
+
+    static int64_t
+    tickOf(TimeNs when)
+    {
+        return static_cast<int64_t>(when * (1.0 / kBucketWidthNs));
     }
 
-    std::vector<Entry> &
-    bucketAt(int64_t tick)
-    {
-        return buckets_[static_cast<size_t>(tick) & (kNumBuckets - 1)];
-    }
+    /** tickOf() clamped to the int64 range (for runUntil bounds). */
+    static int64_t tickLimitOf(TimeNs until);
 
-    /** Establish the next event source: returns false when empty,
-     *  otherwise either the now-FIFO is non-empty or the active bucket
-     *  is sorted with its head at the globally earliest entry. */
-    bool ensureNext();
+    static int64_t blockOf(int64_t tick) { return tick / kRingTicks; }
+
+    /** Route a timed entry to the fine ring, the coarse ring or the
+     *  overflow heap by its block. Never touches the active vector. */
+    void place(Entry &&e);
+
+    void append(Bucket &bucket, Entry &&e);
+
+    /** Hand every entry of `bucket` to `sink` (as Entry &&) and return
+     *  its chunks to the pool, leaving the bucket empty. */
+    template <typename Sink> void drain(Bucket &bucket, Sink &&sink);
+
+    /** Establish the next event source without activating any tick
+     *  beyond `limit`: returns false when empty (or only events past
+     *  `limit` remain), otherwise either the now-FIFO is non-empty or
+     *  the active vector's head is the globally earliest entry. */
+    bool ensureNext(int64_t limit);
 
     /** Time of the next event; call only after ensureNext() == true. */
-    TimeNs nextTime();
+    TimeNs nextTime() const;
 
-    /** Make `tick` the active bucket: migrate overflow entries that
-     *  fall inside the new window, then sort the bucket. */
+    /** Make fine-ring `tick` the active tick: move its bucket into the
+     *  active vector and sort it. */
     void activate(int64_t tick);
 
-    /** Re-base the window backwards to `tick` (< baseTick_). Only
-     *  possible after runUntil() stopped in a gap with the window
-     *  already advanced to a later event; see the .cc comment. */
-    void rebaseWindow(int64_t tick);
+    /** Move the clock into `block` (its fine ring must be empty):
+     *  pour its coarse bucket into the fine ring and migrate overflow
+     *  entries that the advanced coarse window now covers. */
+    void enterBlock(int64_t block);
 
     /** Pop the next callback in (time, seq) order, advancing now_. */
     InlineEvent popNext();
@@ -275,33 +277,37 @@ class EventQueue
     std::vector<InlineEvent> nowFifo_;
     size_t nowHead_ = 0;
 
-    // Near-future ring. baseTick_ is the active (lowest live) tick;
-    // the window covers [baseTick_, baseTick_ + kNumBuckets). The
-    // active bucket is kept sorted ascending by (when, seq) with
-    // activeHead_ as its pop cursor; other buckets are unsorted.
-    std::array<std::vector<Entry>, kNumBuckets> buckets_;
-    size_t windowCount_ = 0;
-    int64_t baseTick_ = 0;
+    // The active tick baseTick_ (in block curBlock_): its entries
+    // sorted ascending by (when, seq), activeHead_ the pop cursor.
+    // While activeSorted_ is false the tick's entries (if any) still
+    // sit in its fine bucket.
+    std::vector<Entry> active_;
     size_t activeHead_ = 0;
     bool activeSorted_ = false;
+    int64_t baseTick_ = 0;
+    int64_t curBlock_ = 0;
 
-    // Far-future events (tick beyond the window): min-heap by
-    // (when, seq), migrated into the ring as the window advances.
+    // Fine ring: ticks of block curBlock_ at or after baseTick_,
+    // indexed by tick % kNumBuckets. Coarse ring: blocks in
+    // (curBlock_, curBlock_ + kNumBlocks), indexed by
+    // block % kNumBlocks. Buckets are unsorted.
+    std::array<Bucket, kNumBuckets> fine_{};
+    std::array<Bucket, kNumBlocks> coarse_{};
+    Bitmap<kNumBuckets> fineBits_{};
+    Bitmap<kNumBlocks> coarseBits_{};
+
+    // Chunk pool shared by both rings: chunks_ owns every chunk ever
+    // allocated, freeChunks_ links the unused ones.
+    std::vector<std::unique_ptr<Chunk>> chunks_;
+    Chunk *freeChunks_ = nullptr;
+
+    // Events beyond the coarse ring: min-heap by (when, seq).
     std::vector<Entry> overflow_;
 
-    TimeNs bucketWidth_;
-    double invWidth_;
-    bool adaptive_;
     TimeNs now_ = 0.0;
     uint64_t seq_ = 0;
     uint64_t executed_ = 0;
     size_t pending_ = 0;
-    /** Events that went through the buckets/overflow (not the
-     *  now-FIFO): the spacing sample for adaptation is the
-     *  [first, last] timed-timestamp span over their count. */
-    uint64_t timedScheduled_ = 0;
-    TimeNs firstTimedWhen_ = 0.0;
-    TimeNs lastTimedWhen_ = 0.0;
 
     QueueProfile *prof_ = nullptr;
 

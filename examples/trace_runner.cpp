@@ -60,7 +60,7 @@ main(int argc, char **argv)
         }
         // Round-trip through the serialized form to exercise the
         // parser exactly as an external trace would.
-        wl = workloadFromJson(workloadToJson(wl));
+        wl = workloadFromJson(workloadToJson(wl).dump());
     }
 
     SimulatorConfig cfg;

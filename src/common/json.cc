@@ -1,10 +1,10 @@
 #include "common/json.h"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 
 #include "common/logging.h"
 
@@ -274,272 +274,359 @@ Value::clone() const
     }
 }
 
+Kind
+Reader::peek()
+{
+    skipWs();
+    switch (pos_ < text_.size() ? text_[pos_] : '\0') {
+      case '{': return Kind::Object;
+      case '[': return Kind::Array;
+      case '"': return Kind::String;
+      case 't':
+      case 'f': return Kind::Bool;
+      case 'n': return Kind::Null;
+      default: return Kind::Number;
+    }
+}
+
+void
+Reader::beginObject()
+{
+    if (Kind k = peek(); k != Kind::Object)
+        expected("object", k);
+    ++pos_;
+    first_ = true;
+}
+
+bool
+Reader::nextKey(std::string &key)
+{
+    skipWs();
+    if (first_) {
+        first_ = false;
+        if (pos_ < text_.size() && text_[pos_] == '}') {
+            ++pos_;
+            return false;
+        }
+    } else {
+        char c = get();
+        if (c == '}')
+            return false;
+        if (c != ',')
+            error("expected ',' or '}' in object");
+        skipWs();
+    }
+    if (pos_ >= text_.size() || text_[pos_] != '"')
+        error("expected object key string");
+    readString(key);
+    skipWs();
+    if (get() != ':')
+        error("expected ':'");
+    return true;
+}
+
+void
+Reader::beginArray()
+{
+    if (Kind k = peek(); k != Kind::Array)
+        expected("array", k);
+    ++pos_;
+    first_ = true;
+}
+
+bool
+Reader::nextElement()
+{
+    skipWs();
+    if (first_) {
+        first_ = false;
+        if (pos_ < text_.size() && text_[pos_] == ']') {
+            ++pos_;
+            return false;
+        }
+        return true;
+    }
+    char c = get();
+    if (c == ']')
+        return false;
+    if (c != ',')
+        error("expected ',' or ']' in array");
+    return true;
+}
+
+void
+Reader::readString(std::string &out)
+{
+    if (Kind k = peek(); k != Kind::String)
+        expected("string", k);
+    ++pos_;
+    out.clear();
+    while (true) {
+        // Copy the run up to the next quote or escape in one append.
+        size_t run = pos_;
+        while (pos_ < text_.size() && text_[pos_] != '"' &&
+               text_[pos_] != '\\')
+            ++pos_;
+        out.append(text_.data() + run, pos_ - run);
+        if (get() == '"')
+            return;
+        char e = get();
+        switch (e) {
+          case '"': out += '"'; break;
+          case '\\': out += '\\'; break;
+          case '/': out += '/'; break;
+          case 'n': out += '\n'; break;
+          case 't': out += '\t'; break;
+          case 'r': out += '\r'; break;
+          case 'b': out += '\b'; break;
+          case 'f': out += '\f'; break;
+          case 'u': {
+            unsigned code = 0;
+            for (int i = 0; i < 4; ++i) {
+                char h = get();
+                code <<= 4;
+                if (h >= '0' && h <= '9')
+                    code += unsigned(h - '0');
+                else if (h >= 'a' && h <= 'f')
+                    code += unsigned(h - 'a' + 10);
+                else if (h >= 'A' && h <= 'F')
+                    code += unsigned(h - 'A' + 10);
+                else
+                    error("invalid \\u escape");
+            }
+            // Encode as UTF-8 (basic multilingual plane only;
+            // surrogate pairs are not needed for ET files).
+            if (code < 0x80) {
+                out += char(code);
+            } else if (code < 0x800) {
+                out += char(0xC0 | (code >> 6));
+                out += char(0x80 | (code & 0x3F));
+            } else {
+                out += char(0xE0 | (code >> 12));
+                out += char(0x80 | ((code >> 6) & 0x3F));
+                out += char(0x80 | (code & 0x3F));
+            }
+            break;
+          }
+          default:
+            error("invalid escape character");
+        }
+    }
+}
+
+std::string
+Reader::readString()
+{
+    std::string out;
+    readString(out);
+    return out;
+}
+
+double
+Reader::readNumber()
+{
+    if (Kind k = peek(); k != Kind::Number)
+        expected("number", k);
+    const char *first = text_.data() + pos_;
+    const char *end = text_.data() + text_.size();
+    const char *last = first;
+    auto is = [&](char a, char b) {
+        return last != end && (*last == a || *last == b);
+    };
+    auto digits = [&] {
+        while (last != end && *last >= '0' && *last <= '9')
+            ++last;
+    };
+    if (is('-', '-'))
+        ++last;
+    digits();
+    if (is('.', '.')) {
+        ++last;
+        digits();
+    }
+    if (is('e', 'E')) {
+        ++last;
+        if (is('+', '-'))
+            ++last;
+        digits();
+    }
+    pos_ = static_cast<size_t>(last - text_.data());
+    if (last == first)
+        error("invalid number");
+    // from_chars is correctly rounded like strtod, but locale-free, and
+    // it keeps subnormals that strtod flags ERANGE. Values that
+    // overflow to infinity or underflow to zero are still errors.
+    double v = 0.0;
+    auto [ptr, ec] = std::from_chars(first, last, v);
+    if (ec != std::errc() || ptr != last)
+        error("invalid number '" + std::string(first, last) + "'");
+    return v;
+}
+
+bool
+Reader::readBool()
+{
+    if (Kind k = peek(); k != Kind::Bool)
+        expected("bool", k);
+    if (consumeLiteral("true"))
+        return true;
+    if (consumeLiteral("false"))
+        return false;
+    error("invalid literal");
+}
+
+void
+Reader::readNull()
+{
+    if (Kind k = peek(); k != Kind::Null)
+        expected("null", k);
+    if (!consumeLiteral("null"))
+        error("invalid literal");
+}
+
+void
+Reader::skipValue()
+{
+    switch (peek()) {
+      case Kind::Object:
+        beginObject();
+        while (nextKey(skipped_))
+            skipValue();
+        break;
+      case Kind::Array:
+        beginArray();
+        while (nextElement())
+            skipValue();
+        break;
+      case Kind::String: readString(skipped_); break;
+      case Kind::Number: readNumber(); break;
+      case Kind::Bool: readBool(); break;
+      case Kind::Null: readNull(); break;
+    }
+}
+
+void
+Reader::finish()
+{
+    skipWs();
+    if (pos_ != text_.size())
+        error("trailing characters after JSON document");
+}
+
+void
+Reader::error(const std::string &msg) const
+{
+    size_t line = 1, col = 1;
+    for (size_t i = 0; i < pos_ && i < text_.size(); ++i) {
+        if (text_[i] == '\n') {
+            ++line;
+            col = 1;
+        } else {
+            ++col;
+        }
+    }
+    fatal("json parse error at line %zu col %zu: %s", line, col,
+          msg.c_str());
+}
+
+char
+Reader::get()
+{
+    if (pos_ >= text_.size())
+        error("unexpected end of input");
+    return text_[pos_++];
+}
+
+void
+Reader::skipWs()
+{
+    while (pos_ < text_.size() &&
+           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+            text_[pos_] == '\n' || text_[pos_] == '\r'))
+        ++pos_;
+}
+
+bool
+Reader::consumeLiteral(std::string_view lit)
+{
+    if (text_.substr(pos_).starts_with(lit)) {
+        pos_ += lit.size();
+        return true;
+    }
+    return false;
+}
+
+void
+Reader::expected(const char *what, Kind got) const
+{
+    error(std::string("expected ") + what + ", got " + kindName(got));
+}
+
 namespace {
 
-/** Recursive-descent JSON parser with line/column error reporting. */
-class Parser
+Value
+readValue(Reader &r)
 {
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
-
-    Value
-    parseDocument()
-    {
-        skipWs();
-        Value v = parseValue();
-        skipWs();
-        if (pos_ != text_.size())
-            error("trailing characters after JSON document");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void
-    error(const std::string &msg)
-    {
-        size_t line = 1, col = 1;
-        for (size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-            if (text_[i] == '\n') {
-                ++line;
-                col = 1;
-            } else {
-                ++col;
-            }
-        }
-        fatal("json parse error at line %zu col %zu: %s", line, col,
-              msg.c_str());
-    }
-
-    char
-    peek() const
-    {
-        return pos_ < text_.size() ? text_[pos_] : '\0';
-    }
-
-    char
-    get()
-    {
-        if (pos_ >= text_.size())
-            error("unexpected end of input");
-        return text_[pos_++];
-    }
-
-    void
-    expect(char c)
-    {
-        if (get() != c)
-            error(std::string("expected '") + c + "'");
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r')) {
-            ++pos_;
-        }
-    }
-
-    bool
-    consumeLiteral(const char *lit)
-    {
-        size_t len = std::char_traits<char>::length(lit);
-        if (text_.compare(pos_, len, lit) == 0) {
-            pos_ += len;
-            return true;
-        }
-        return false;
-    }
-
-    Value
-    parseValue()
-    {
-        skipWs();
-        switch (peek()) {
-          case '{': return parseObject();
-          case '[': return parseArray();
-          case '"': return Value(parseString());
-          case 't':
-            if (consumeLiteral("true"))
-                return Value(true);
-            error("invalid literal");
-          case 'f':
-            if (consumeLiteral("false"))
-                return Value(false);
-            error("invalid literal");
-          case 'n':
-            if (consumeLiteral("null"))
-                return Value(nullptr);
-            error("invalid literal");
-          default:
-            return parseNumber();
-        }
-    }
-
-    Value
-    parseObject()
-    {
-        expect('{');
+    switch (r.peek()) {
+      case Kind::Object: {
         Object obj;
-        skipWs();
-        if (peek() == '}') {
-            get();
-            return Value(std::move(obj));
-        }
-        while (true) {
-            skipWs();
-            if (peek() != '"')
-                error("expected object key string");
-            std::string key = parseString();
-            skipWs();
-            expect(':');
-            obj[key] = parseValue();
-            skipWs();
-            char c = get();
-            if (c == '}')
-                break;
-            if (c != ',')
-                error("expected ',' or '}' in object");
-        }
+        std::string key;
+        r.beginObject();
+        while (r.nextKey(key))
+            obj[key] = readValue(r); // a repeated key: the last wins.
         return Value(std::move(obj));
-    }
-
-    Value
-    parseArray()
-    {
-        expect('[');
+      }
+      case Kind::Array: {
         Array arr;
-        skipWs();
-        if (peek() == ']') {
-            get();
-            return Value(std::move(arr));
-        }
-        while (true) {
-            arr.push_back(parseValue());
-            skipWs();
-            char c = get();
-            if (c == ']')
-                break;
-            if (c != ',')
-                error("expected ',' or ']' in array");
-        }
+        r.beginArray();
+        while (r.nextElement())
+            arr.push_back(readValue(r));
         return Value(std::move(arr));
+      }
+      case Kind::String: return Value(r.readString());
+      case Kind::Number: return Value(r.readNumber());
+      case Kind::Bool: return Value(r.readBool());
+      case Kind::Null: r.readNull(); return Value();
     }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (true) {
-            char c = get();
-            if (c == '"')
-                break;
-            if (c == '\\') {
-                char e = get();
-                switch (e) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  case 'r': out += '\r'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'u': {
-                    unsigned code = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        char h = get();
-                        code <<= 4;
-                        if (h >= '0' && h <= '9')
-                            code += unsigned(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            code += unsigned(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            code += unsigned(h - 'A' + 10);
-                        else
-                            error("invalid \\u escape");
-                    }
-                    // Encode as UTF-8 (basic multilingual plane only;
-                    // surrogate pairs are not needed for ET files).
-                    if (code < 0x80) {
-                        out += char(code);
-                    } else if (code < 0x800) {
-                        out += char(0xC0 | (code >> 6));
-                        out += char(0x80 | (code & 0x3F));
-                    } else {
-                        out += char(0xE0 | (code >> 12));
-                        out += char(0x80 | ((code >> 6) & 0x3F));
-                        out += char(0x80 | (code & 0x3F));
-                    }
-                    break;
-                  }
-                  default:
-                    error("invalid escape character");
-                }
-            } else {
-                out += c;
-            }
-        }
-        return out;
-    }
-
-    Value
-    parseNumber()
-    {
-        size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        while (std::isdigit(static_cast<unsigned char>(peek())))
-            ++pos_;
-        if (peek() == '.') {
-            ++pos_;
-            while (std::isdigit(static_cast<unsigned char>(peek())))
-                ++pos_;
-        }
-        if (peek() == 'e' || peek() == 'E') {
-            ++pos_;
-            if (peek() == '+' || peek() == '-')
-                ++pos_;
-            while (std::isdigit(static_cast<unsigned char>(peek())))
-                ++pos_;
-        }
-        if (pos_ == start)
-            error("invalid number");
-        std::string tok = text_.substr(start, pos_ - start);
-        try {
-            size_t used = 0;
-            double v = std::stod(tok, &used);
-            if (used != tok.size())
-                error("invalid number '" + tok + "'");
-            return Value(v);
-        } catch (const std::exception &) {
-            error("invalid number '" + tok + "'");
-        }
-    }
-
-    const std::string &text_;
-    size_t pos_ = 0;
-};
+    return Value();
+}
 
 } // namespace
 
 Value
 parse(const std::string &text)
 {
-    Parser p(text);
-    return p.parseDocument();
+    Reader r(text);
+    Value v = readValue(r);
+    r.finish();
+    return v;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    ASTRA_USER_CHECK(in.is_open(), "json: cannot open '%s'", path.c_str());
+    std::string text;
+    std::streamoff size = in.tellg();
+    if (size >= 0) {
+        text.resize(static_cast<size_t>(size));
+        in.seekg(0);
+        in.read(text.data(), size);
+        ASTRA_USER_CHECK(in.gcount() == size, "json: cannot read '%s'",
+                         path.c_str());
+    } else {
+        // Not seekable (a pipe): read to the end instead.
+        in.clear();
+        text.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    return text;
 }
 
 Value
 parseFile(const std::string &path)
 {
-    std::ifstream in(path);
-    ASTRA_USER_CHECK(in.good(), "json: cannot open '%s'", path.c_str());
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return parse(ss.str());
+    return parse(readFile(path));
 }
 
 void

@@ -1,10 +1,15 @@
 /**
  * @file
- * Minimal self-contained JSON value type, parser, and writer.
+ * Minimal self-contained JSON value type, tokenizer, parser, and
+ * writer.
  *
  * Used for execution-trace (ET) files and simulator configuration.
  * Supports the full JSON grammar (objects, arrays, strings with
  * escapes, numbers, booleans, null). No external dependencies.
+ *
+ * Reader is the one lexer: parse() builds a Value tree with it, and
+ * fixed-schema decoders (the ET loader, workload/et_json.h) read
+ * values straight into their own structs without a tree.
  */
 #ifndef ASTRA_COMMON_JSON_H_
 #define ASTRA_COMMON_JSON_H_
@@ -13,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace astra {
@@ -106,11 +112,80 @@ class Value
     std::shared_ptr<Object> obj_;
 };
 
+/**
+ * Pull tokenizer over a JSON document held in memory.
+ *
+ * Containers are walked with begin/next pairs; each member or element
+ * value must be consumed (read*() or skipValue()) before the next
+ * next*() call:
+ *
+ *     r.beginObject();
+ *     while (r.nextKey(key)) {
+ *         if (key == "n")
+ *             n = r.readNumber();
+ *         else
+ *             r.skipValue();
+ *     }
+ *
+ * Every syntax or kind error is fatal() with the line and column.
+ * The text must outlive the reader.
+ */
+class Reader
+{
+  public:
+    explicit Reader(std::string_view text) : text_(text) {}
+
+    /**
+     * Kind of the next value, after skipping whitespace. A character
+     * that cannot start a value reports Number, so that readNumber()
+     * names the error.
+     */
+    Kind peek();
+
+    /** Consume '{'; fatal() if the next value is not an object. */
+    void beginObject();
+    /** Read the next member's key; false once '}' is consumed. */
+    bool nextKey(std::string &key);
+    /** Consume '['; fatal() if the next value is not an array. */
+    void beginArray();
+    /** True if another element follows; false once ']' is consumed. */
+    bool nextElement();
+
+    /** Checked scalar reads; fatal() on a value of another kind. */
+    void readString(std::string &out);
+    std::string readString();
+    double readNumber();
+    bool readBool();
+    void readNull();
+    /** Consume one value of any kind, checking its syntax. */
+    void skipValue();
+
+    /** fatal() unless only whitespace is left. */
+    void finish();
+
+  private:
+    /** fatal() with the current line and column. */
+    [[noreturn]] void error(const std::string &msg) const;
+    char get();
+    void skipWs();
+    bool consumeLiteral(std::string_view lit);
+    [[noreturn]] void expected(const char *what, Kind got) const;
+
+    std::string_view text_;
+    size_t pos_ = 0;
+    /** Between begin*() and the first next*() of that container. */
+    bool first_ = false;
+    std::string skipped_; //!< reused buffer for strings skipValue() drops.
+};
+
 /** Parse a JSON document; fatal() with line/column info on syntax error. */
 Value parse(const std::string &text);
 
 /** Parse the JSON document stored in a file; fatal() if unreadable. */
 Value parseFile(const std::string &path);
+
+/** Read a whole file into one string sized to it; fatal() if unreadable. */
+std::string readFile(const std::string &path);
 
 /** Write a JSON document to a file; fatal() if unwritable. */
 void writeFile(const std::string &path, const Value &v, int indent = 2);

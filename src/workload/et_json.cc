@@ -1,5 +1,9 @@
 #include "workload/et_json.h"
 
+#include <climits>
+#include <cmath>
+#include <cstdint>
+
 #include "common/logging.h"
 
 namespace astra {
@@ -71,56 +75,233 @@ nodeToJson(const EtNode &node)
     return json::Value(std::move(o));
 }
 
-EtNode
-nodeFromJson(const json::Value &v)
+/** A place in the document, named in decode errors. */
+struct Where
 {
-    EtNode node;
-    node.id = static_cast<int>(v.at("id").asInt());
-    node.type = parseNodeType(v.at("type").asString());
-    node.name = v.getString("name", "");
-    if (v.has("deps"))
-        for (const json::Value &d : v.at("deps").asArray())
-            node.deps.push_back(static_cast<int>(d.asInt()));
-    switch (node.type) {
-      case NodeType::Compute:
-        node.flops = v.getNumber("flops", 0.0);
-        node.tensorBytes = v.getNumber("tensor_bytes", 0.0);
-        break;
-      case NodeType::Memory:
-        node.memOp = v.getString("op", "load") == "store" ? MemOp::Store
-                                                          : MemOp::Load;
-        node.location = v.getString("location", "local") == "remote"
-                            ? MemLocation::Remote
-                            : MemLocation::Local;
-        node.memBytes = v.getNumber("bytes", 0.0);
-        node.fused = v.getBool("fused", false);
-        break;
-      case NodeType::CommColl: {
-        node.coll = parseCollectiveType(v.at("coll").asString());
-        node.commBytes = v.getNumber("bytes", 0.0);
-        node.commKey = static_cast<uint64_t>(v.getNumber("key", 0.0));
-        if (v.has("groups")) {
-            for (const json::Value &g : v.at("groups").asArray()) {
-                GroupDim gd;
-                gd.dim = static_cast<int>(g.at("dim").asInt());
-                gd.size = static_cast<int>(g.getInt("size", 0));
-                gd.stride = static_cast<int>(g.getInt("stride", 1));
-                node.groups.push_back(gd);
+    size_t graph;
+    size_t node = SIZE_MAX;  //!< SIZE_MAX: the graph itself.
+    size_t group = SIZE_MAX; //!< SIZE_MAX: the node itself.
+
+    std::string
+    str() const
+    {
+        std::string s = "graphs[" + std::to_string(graph) + "]";
+        if (node != SIZE_MAX)
+            s += ".nodes[" + std::to_string(node) + "]";
+        if (group != SIZE_MAX)
+            s += ".groups[" + std::to_string(group) + "]";
+        return s;
+    }
+};
+
+// JSON numbers are doubles. ET integers are range-checked before any
+// conversion, since a cast of an out-of-range double is undefined.
+
+int
+toInt(double v, const Where &at, const char *key)
+{
+    // Round half away from zero, as json::Value::asInt() does.
+    double r = std::round(v);
+    ASTRA_USER_CHECK(r >= double(INT_MIN) && r <= double(INT_MAX),
+                     "ET %s: '%s' = %.17g is outside the int range",
+                     at.str().c_str(), key, v);
+    return static_cast<int>(r);
+}
+
+uint64_t
+toKey(double v, const Where &at, const char *key)
+{
+    // Truncate toward zero. Every integer up to 2^53 is exactly a
+    // double; above it, not every one is.
+    double t = std::trunc(v);
+    ASTRA_USER_CHECK(t >= 0.0 && t <= 0x1p53,
+                     "ET %s: '%s' = %.17g is outside [0, 2^53]",
+                     at.str().c_str(), key, v);
+    return static_cast<uint64_t>(t);
+}
+
+/**
+ * The type-dependent fields of one node as read. Which EtNode field
+ * a key fills (`bytes` above all) depends on `type`, and our writer
+ * emits keys sorted, so `type` comes last.
+ */
+struct PendingNode
+{
+    struct Group
+    {
+        bool hasDim = false;
+        double dim = 0.0;
+        double size = 0.0;
+        double stride = 1.0;
+    };
+
+    bool hasId = false;
+    bool hasType = false;
+    bool hasColl = false;
+    bool hasPeer = false;
+    std::string type;
+    std::string op = "load";
+    std::string location = "local";
+    std::string coll;
+    bool fused = false;
+    double flops = 0.0;
+    double tensorBytes = 0.0;
+    double bytes = 0.0;
+    double key = 0.0;
+    double peer = 0.0;
+    double tag = 0.0;
+    std::vector<Group> groups;
+};
+
+void
+readGroups(json::Reader &r, std::string &key,
+           std::vector<PendingNode::Group> &groups)
+{
+    groups.clear();
+    r.beginArray();
+    while (r.nextElement()) {
+        PendingNode::Group g;
+        r.beginObject();
+        while (r.nextKey(key)) {
+            if (key == "dim") {
+                g.dim = r.readNumber();
+                g.hasDim = true;
+            } else if (key == "size") {
+                g.size = r.readNumber();
+            } else if (key == "stride") {
+                g.stride = r.readNumber();
+            } else {
+                r.skipValue();
             }
         }
+        groups.push_back(g);
+    }
+}
+
+EtNode
+readNode(json::Reader &r, std::string &key, const Where &at)
+{
+    EtNode node;
+    PendingNode p;
+    r.beginObject();
+    while (r.nextKey(key)) {
+        std::string_view k = key;
+        if (k == "id") {
+            node.id = toInt(r.readNumber(), at, "id");
+            p.hasId = true;
+        } else if (k == "deps") {
+            node.deps.clear();
+            r.beginArray();
+            while (r.nextElement())
+                node.deps.push_back(toInt(r.readNumber(), at, "deps"));
+        } else if (k == "type") {
+            r.readString(p.type);
+            p.hasType = true;
+        } else if (k == "name") {
+            r.readString(node.name);
+        } else if (k == "bytes") {
+            p.bytes = r.readNumber();
+        } else if (k == "flops") {
+            p.flops = r.readNumber();
+        } else if (k == "tensor_bytes") {
+            p.tensorBytes = r.readNumber();
+        } else if (k == "coll") {
+            r.readString(p.coll);
+            p.hasColl = true;
+        } else if (k == "key") {
+            p.key = r.readNumber();
+        } else if (k == "groups") {
+            readGroups(r, key, p.groups);
+        } else if (k == "peer") {
+            p.peer = r.readNumber();
+            p.hasPeer = true;
+        } else if (k == "tag") {
+            p.tag = r.readNumber();
+        } else if (k == "op") {
+            r.readString(p.op);
+        } else if (k == "location") {
+            r.readString(p.location);
+        } else if (k == "fused") {
+            p.fused = r.readBool();
+        } else {
+            r.skipValue();
+        }
+    }
+    auto require = [&](bool has, const char *name) {
+        ASTRA_USER_CHECK(has, "ET %s: missing key '%s'", at.str().c_str(),
+                         name);
+    };
+    require(p.hasId, "id");
+    require(p.hasType, "type");
+    node.type = parseNodeType(p.type);
+    switch (node.type) {
+      case NodeType::Compute:
+        node.flops = p.flops;
+        node.tensorBytes = p.tensorBytes;
         break;
-      }
+      case NodeType::Memory:
+        node.memOp = p.op == "store" ? MemOp::Store : MemOp::Load;
+        node.location = p.location == "remote" ? MemLocation::Remote
+                                               : MemLocation::Local;
+        node.memBytes = p.bytes;
+        node.fused = p.fused;
+        break;
+      case NodeType::CommColl:
+        require(p.hasColl, "coll");
+        node.coll = parseCollectiveType(p.coll);
+        node.commBytes = p.bytes;
+        node.commKey = toKey(p.key, at, "key");
+        node.groups.reserve(p.groups.size());
+        for (size_t i = 0; i < p.groups.size(); ++i) {
+            const PendingNode::Group &g = p.groups[i];
+            Where gat{at.graph, at.node, i};
+            ASTRA_USER_CHECK(g.hasDim, "ET %s: missing key 'dim'",
+                             gat.str().c_str());
+            GroupDim gd;
+            gd.dim = toInt(g.dim, gat, "dim");
+            gd.size = toInt(g.size, gat, "size");
+            gd.stride = toInt(g.stride, gat, "stride");
+            node.groups.push_back(gd);
+        }
+        break;
       case NodeType::CommSend:
-        node.peer = static_cast<NpuId>(v.at("peer").asInt());
-        node.p2pBytes = v.getNumber("bytes", 0.0);
-        node.tag = static_cast<uint64_t>(v.getNumber("tag", 0.0));
+        require(p.hasPeer, "peer");
+        node.peer = toInt(p.peer, at, "peer");
+        node.p2pBytes = p.bytes;
+        node.tag = toKey(p.tag, at, "tag");
         break;
       case NodeType::CommRecv:
-        node.peer = static_cast<NpuId>(v.at("peer").asInt());
-        node.tag = static_cast<uint64_t>(v.getNumber("tag", 0.0));
+        require(p.hasPeer, "peer");
+        node.peer = toInt(p.peer, at, "peer");
+        node.tag = toKey(p.tag, at, "tag");
         break;
     }
     return node;
+}
+
+EtGraph
+readGraph(json::Reader &r, std::string &key, size_t index)
+{
+    EtGraph graph;
+    bool has_npu = false, has_nodes = false;
+    r.beginObject();
+    while (r.nextKey(key)) {
+        if (key == "npu") {
+            graph.npu = toInt(r.readNumber(), Where{index}, "npu");
+            has_npu = true;
+        } else if (key == "nodes") {
+            graph.nodes.clear();
+            has_nodes = true;
+            r.beginArray();
+            for (size_t n = 0; r.nextElement(); ++n)
+                graph.nodes.push_back(readNode(r, key, Where{index, n}));
+        } else {
+            r.skipValue();
+        }
+    }
+    ASTRA_USER_CHECK(has_npu && has_nodes, "ET graphs[%zu]: missing key '%s'",
+                     index, has_npu ? "nodes" : "npu");
+    return graph;
 }
 
 } // namespace
@@ -147,27 +328,44 @@ workloadToJson(const Workload &wl)
 }
 
 Workload
-workloadFromJson(const json::Value &doc)
+workloadFromJson(std::string_view text)
 {
-    ASTRA_USER_CHECK(doc.getString("schema", "") == kSchema,
+    json::Reader r(text);
+    Workload wl;
+    wl.name = "trace";
+    std::string key, schema = "<missing>";
+    double npus = 0.0;
+    bool has_npus = false, has_graphs = false;
+    r.beginObject();
+    while (r.nextKey(key)) {
+        if (key == "graphs") {
+            wl.graphs.clear();
+            has_graphs = true;
+            r.beginArray();
+            while (r.nextElement())
+                wl.graphs.push_back(readGraph(r, key, wl.graphs.size()));
+        } else if (key == "schema") {
+            r.readString(schema);
+        } else if (key == "name") {
+            r.readString(wl.name);
+        } else if (key == "npus") {
+            npus = r.readNumber();
+            has_npus = true;
+        } else {
+            r.skipValue();
+        }
+    }
+    r.finish();
+    ASTRA_USER_CHECK(schema == kSchema,
                      "ET document schema is '%s', expected '%s' (use the "
                      "converter for external trace formats)",
-                     doc.getString("schema", "<missing>").c_str(),
-                     kSchema);
-    Workload wl;
-    wl.name = doc.getString("name", "trace");
-    int64_t npus = doc.at("npus").asInt();
-    const json::Array &graphs = doc.at("graphs").asArray();
-    ASTRA_USER_CHECK(static_cast<int64_t>(graphs.size()) == npus,
-                     "ET document: npus=%lld but %zu graphs",
-                     static_cast<long long>(npus), graphs.size());
-    for (const json::Value &g : graphs) {
-        EtGraph graph;
-        graph.npu = static_cast<NpuId>(g.at("npu").asInt());
-        for (const json::Value &n : g.at("nodes").asArray())
-            graph.nodes.push_back(nodeFromJson(n));
-        wl.graphs.push_back(std::move(graph));
-    }
+                     schema.c_str(), kSchema);
+    ASTRA_USER_CHECK(has_npus && has_graphs,
+                     "ET document: missing key '%s'",
+                     has_npus ? "graphs" : "npus");
+    ASTRA_USER_CHECK(std::round(npus) == double(wl.graphs.size()),
+                     "ET document: npus=%.17g but %zu graphs", npus,
+                     wl.graphs.size());
     return wl;
 }
 
@@ -180,7 +378,9 @@ saveWorkload(const std::string &path, const Workload &wl)
 Workload
 loadWorkload(const std::string &path)
 {
-    return workloadFromJson(json::parseFile(path));
+    // The text is the only copy of the file in memory; no json::Value
+    // tree is built (docs/workload.md, memory contract).
+    return workloadFromJson(json::readFile(path));
 }
 
 } // namespace astra

@@ -1,6 +1,12 @@
 /** @file Unit tests for the minimal JSON parser/writer. */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "common/json.h"
 #include "common/logging.h"
 
@@ -64,6 +70,102 @@ TEST(Json, RoundTripsThroughDump)
     EXPECT_EQ(v.dump(), again.dump());
     // Pretty output parses back to the same document too.
     EXPECT_EQ(parse(v.dump(2)).dump(), v.dump());
+}
+
+TEST(Json, SubnormalsRoundTripBitExactly)
+{
+    const double values[] = {
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::nextafter(std::numeric_limits<double>::min(), 0.0),
+        2.2250738585072011e-308,
+        1e-310,
+        -3.5e-320,
+    };
+    for (double x : values) {
+        ASSERT_NE(std::fpclassify(x), FP_NORMAL) << x;
+        std::string text = Value(x).dump();
+        double back = parse(text).asNumber();
+        EXPECT_EQ(std::memcmp(&back, &x, sizeof(x)), 0) << text;
+    }
+    EXPECT_EQ(parse("4.9e-324").asNumber(),
+              std::numeric_limits<double>::denorm_min());
+    // Overflow to infinity and underflow to zero stay errors.
+    for (const char *bad : {"1e400", "-1e400", "1e-400", "-1e-400"})
+        EXPECT_THROW(parse(bad), FatalError) << bad;
+}
+
+TEST(Json, NumbersMatchStodBitForBit)
+{
+    const char *table[] = {
+        "0", "-0", "1", "-17", "3.5", "0.1", "1e9", "2.5E-3", "1e+2",
+        "1866666666666.6667", "123456789012345678901234567890",
+        "9007199254740993", "0.30000000000000004", "1.7976931348623157e308",
+        "2.2250738585072014e-308", "5e-300", "-6.02214076e23",
+        "1.", ".5", "-.25", "00012", "3.14159265358979323846",
+    };
+    for (const char *t : table) {
+        double expect = std::stod(t);
+        double got = parse(t).asNumber();
+        EXPECT_EQ(std::memcmp(&got, &expect, sizeof(got)), 0) << t;
+    }
+}
+
+TEST(Json, ReaderWalksWithoutATree)
+{
+    Reader r(R"( {"skip": {"x": [1, {"y": "\u00e9"}], "z": null},
+                 "n": -2.5, "list": [[], [true, false]], "s": "a\"b" } )");
+    std::string key;
+    std::vector<std::string> keys;
+    r.beginObject();
+    while (r.nextKey(key)) {
+        keys.push_back(key);
+        if (key == "n") {
+            EXPECT_EQ(r.readNumber(), -2.5);
+        } else if (key == "s") {
+            EXPECT_EQ(r.readString(), "a\"b");
+        } else if (key == "list") {
+            int inner = 0;
+            r.beginArray();
+            while (r.nextElement()) {
+                r.beginArray();
+                while (r.nextElement()) {
+                    EXPECT_EQ(r.peek(), Kind::Bool);
+                    r.readBool();
+                    ++inner;
+                }
+            }
+            EXPECT_EQ(inner, 2);
+        } else {
+            r.skipValue();
+        }
+    }
+    r.finish();
+    EXPECT_EQ(keys, (std::vector<std::string>{"skip", "n", "list", "s"}));
+}
+
+TEST(Json, ReaderChecksKindsAndSyntax)
+{
+    EXPECT_THROW(Reader("\"x\"").readNumber(), FatalError);
+    EXPECT_THROW(Reader("1").readString(), FatalError);
+    EXPECT_THROW(Reader("[1]").beginObject(), FatalError);
+    EXPECT_THROW(Reader("nul").readNull(), FatalError);
+    // skipValue() checks the syntax of what it skips.
+    EXPECT_THROW(Reader("[1, {\"a\" 2}]").skipValue(), FatalError);
+    EXPECT_THROW(Reader("[1e999]").skipValue(), FatalError);
+    EXPECT_THROW(Reader("\"\\q\"").skipValue(), FatalError);
+    try {
+        parse("{\n  \"a\": 1,\n  \"b\": tru\n}");
+        FAIL() << "no error";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Json, RepeatedKeysKeepTheLast)
+{
+    EXPECT_EQ(parse(R"({"a": 1, "a": [2]})").at("a").asArray().size(), 1u);
 }
 
 TEST(Json, IntegersSerializeWithoutDecimals)

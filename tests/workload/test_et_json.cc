@@ -66,7 +66,7 @@ richWorkload()
 TEST(EtJson, RoundTripPreservesEverything)
 {
     Workload wl = richWorkload();
-    Workload back = workloadFromJson(workloadToJson(wl));
+    Workload back = workloadFromJson(workloadToJson(wl).dump());
     ASSERT_EQ(back.graphs.size(), wl.graphs.size());
     EXPECT_EQ(back.name, wl.name);
     for (size_t g = 0; g < wl.graphs.size(); ++g) {
@@ -116,20 +116,106 @@ TEST(EtJson, BuilderWorkloadsRoundTrip)
     opts.mp = 2;
     Workload wl =
         buildHybridTransformer(topo, gpt3(), opts);
-    Workload back = workloadFromJson(workloadToJson(wl));
+    Workload back = workloadFromJson(workloadToJson(wl).dump());
     EXPECT_EQ(workloadToJson(back).dump(), workloadToJson(wl).dump());
     EXPECT_NO_THROW(validateWorkload(back, topo.npus()));
 }
 
 TEST(EtJson, RejectsWrongSchema)
 {
-    EXPECT_THROW(
-        workloadFromJson(json::parse(R"({"schema":"pytorch-et"})")),
-        FatalError);
-    EXPECT_THROW(workloadFromJson(json::parse(
-                     R"({"schema":"astra-sim-et-v2","npus":2,
-                         "graphs":[]})")),
+    EXPECT_THROW(workloadFromJson(R"({"schema":"pytorch-et"})"),
                  FatalError);
+    EXPECT_THROW(workloadFromJson(R"({"schema":"astra-sim-et-v2","npus":2,
+                                      "graphs":[]})"),
+                 FatalError);
+}
+
+TEST(EtJson, KeysMayComeInAnyOrder)
+{
+    // Header, graph and node keys in reverse of the writer's sorted
+    // order, so `type` is read first and `schema` last.
+    Workload wl = workloadFromJson(R"({
+        "graphs": [{"nodes": [
+            {"type": "comm_send", "tag": 9, "peer": 1, "id": 0, "bytes": 64},
+            {"type": "compute", "tensor_bytes": 2, "id": 1, "flops": 5,
+             "deps": [0]}], "npu": 0}],
+        "npus": 1, "name": "order", "schema": "astra-sim-et-v2"})");
+    ASSERT_EQ(wl.graphs.size(), 1u);
+    const EtNode &send = wl.graphs[0].nodes[0];
+    EXPECT_EQ(send.type, NodeType::CommSend);
+    EXPECT_EQ(send.tag, 9u);
+    EXPECT_EQ(send.peer, 1);
+    EXPECT_DOUBLE_EQ(send.p2pBytes, 64.0);
+    const EtNode &comp = wl.graphs[0].nodes[1];
+    EXPECT_DOUBLE_EQ(comp.flops, 5.0);
+    EXPECT_EQ(comp.deps, std::vector<int>{0});
+    EXPECT_EQ(wl.name, "order");
+}
+
+/** A one-NPU document holding @p node as its only node. */
+std::string
+oneNodeDoc(const std::string &node)
+{
+    return R"({"schema":"astra-sim-et-v2","npus":1,"graphs":[{"npu":0,)"
+           R"("nodes":[)" + node + "]}]}";
+}
+
+std::string
+decodeError(const std::string &doc)
+{
+    try {
+        workloadFromJson(doc);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(EtJson, OutOfRangeIntegersAreFatalAndNamed)
+{
+    struct Case
+    {
+        const char *node;
+        const char *key;
+    };
+    // Casting such doubles to the field's integer type was undefined.
+    const Case cases[] = {
+        {R"({"id":0,"type":"comm_send","peer":1,"tag":-1})", "'tag'"},
+        {R"({"id":0,"type":"comm_recv","peer":1,"tag":1e300})", "'tag'"},
+        {R"({"id":0,"type":"comm_send","peer":1,"tag":9007199254740994})",
+         "'tag'"},
+        {R"({"id":0,"type":"comm_coll","coll":"all_reduce","key":-1})",
+         "'key'"},
+        {R"({"id":0,"type":"comm_coll","coll":"all_reduce","key":1e20})",
+         "'key'"},
+        {R"({"id":3e9,"type":"compute"})", "'id'"},
+        {R"({"id":0,"type":"comm_send","peer":-3e9,"tag":1})", "'peer'"},
+        {R"({"id":0,"type":"compute","deps":[1e10]})", "'deps'"},
+        {R"({"id":0,"type":"comm_coll","coll":"all_reduce",
+             "groups":[{"dim":1e10}]})", "'dim'"},
+        {R"({"id":0,"type":"comm_coll","coll":"all_reduce",
+             "groups":[{"dim":0,"size":-1e12}]})", "'size'"},
+        {R"({"id":0,"type":"comm_coll","coll":"all_reduce",
+             "groups":[{"dim":0,"stride":4294967296}]})", "'stride'"},
+    };
+    for (const Case &c : cases) {
+        std::string msg = decodeError(oneNodeDoc(c.node));
+        EXPECT_NE(msg.find("graphs[0].nodes[0]"), std::string::npos)
+            << c.node << " -> " << msg;
+        EXPECT_NE(msg.find(c.key), std::string::npos)
+            << c.node << " -> " << msg;
+    }
+    // The edges of each range still decode.
+    Workload wl = workloadFromJson(oneNodeDoc(
+        R"({"id":2147483647,"type":"comm_send","peer":-2147483648,)"
+        R"("tag":9007199254740992})"));
+    EXPECT_EQ(wl.graphs[0].nodes[0].id, 2147483647);
+    EXPECT_EQ(wl.graphs[0].nodes[0].tag, 1ULL << 53);
+    // A graph's npu is range-checked the same way.
+    std::string msg = decodeError(
+        R"({"schema":"astra-sim-et-v2","npus":1,)"
+        R"("graphs":[{"npu":1e12,"nodes":[]}]})");
+    EXPECT_NE(msg.find("graphs[0]: 'npu'"), std::string::npos) << msg;
 }
 
 } // namespace

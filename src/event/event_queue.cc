@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -78,6 +79,28 @@ EventQueue::tickLimitOf(TimeNs until)
                              : std::numeric_limits<int64_t>::max();
 }
 
+inline void
+EventQueue::insertTimed(Entry &&e)
+{
+    // e.when > now_ >= the active tick's start, because the clock never
+    // moves the active tick past now_ (runUntil() bounds how far
+    // ensureNext() may advance), so no entry lands behind the window.
+    if (activeSorted_ && tickOf(e.when) == baseTick_) {
+        // The live active tick. Re-arming chains schedule in (when,
+        // seq) order, so most entries just extend the late run; the
+        // rest take O(log n) in the late heap. Neither is an O(n)
+        // sorted insert into the active vector.
+        if (lateRun_.empty() || !entryBefore(e, lateRun_.back())) {
+            lateRun_.push_back(std::move(e));
+        } else {
+            lateHeap_.push_back(std::move(e));
+            std::push_heap(lateHeap_.begin(), lateHeap_.end(), entryAfter);
+        }
+        return;
+    }
+    place(std::move(e));
+}
+
 void
 EventQueue::schedule(TimeNs delay, EventCallback cb)
 {
@@ -98,19 +121,27 @@ EventQueue::scheduleAt(TimeNs when, EventCallback cb)
         nowFifo_.push_back(std::move(cb));
         return;
     }
-    // when > now_ >= the active tick's start, because the clock never
-    // moves the active tick past now_ (runUntil() bounds how far
-    // ensureNext() may advance), so no entry lands behind the window.
-    Entry e{when, seq_++, std::move(cb)};
-    if (activeSorted_ && tickOf(when) == baseTick_) {
-        // Insert into the live (sorted) active tick at its slot.
-        auto pos = std::upper_bound(
-            active_.begin() + static_cast<ptrdiff_t>(activeHead_),
-            active_.end(), e, entryBefore);
-        active_.insert(pos, std::move(e));
+    insertTimed(Entry{when, seq_++, std::move(cb)});
+}
+
+void
+EventQueue::scheduleReserved(TimeNs when, uint64_t seq, EventCallback cb)
+{
+    ASTRA_ASSERT(timeNotBefore(when, now_),
+                 "event scheduled in the past (when=%g now=%g)", when, now_);
+    ASTRA_ASSERT(seq < seq_, "sequence number %llu was never reserved",
+                 static_cast<unsigned long long>(seq));
+    ++pending_;
+    if (when <= now_) {
+        // Due now and (by contract) the running event's successor, so
+        // ahead of every other event at now: the FIFO head, which is
+        // the running event's own, already popped slot.
+        ASTRA_ASSERT(nowHead_ > 0,
+                     "reserved event due now outside a dispatch");
+        nowFifo_[--nowHead_] = std::move(cb);
         return;
     }
-    place(std::move(e));
+    insertTimed(Entry{when, seq, std::move(cb)});
 }
 
 void
@@ -179,14 +210,37 @@ EventQueue::activate(int64_t tick)
     clearBit(fineBits_, slot);
     drain(fine_[slot],
           [this](Entry &&e) { active_.push_back(std::move(e)); });
-    // Appends carry monotonically increasing seq, so a bucket filled
-    // in nondecreasing time order — the common case: synchronized
+    // Appends mostly carry increasing seq, so a bucket filled in
+    // nondecreasing time order — the common case: synchronized
     // completion waves put hundreds of equal-timestamp events in one
     // bucket — is already in (when, seq) order. Detect that in one
-    // early-exit pass instead of paying the full sort; a genuinely
-    // shuffled bucket fails the check within a few elements.
-    if (!std::is_sorted(active_.begin(), active_.end(), entryBefore))
-        std::sort(active_.begin(), active_.end(), entryBefore);
+    // early-exit pass instead of paying the full sort. A bucket that
+    // is two such runs (entries poured in when the block was entered,
+    // then entries appended since: packet trains do this) is merged in
+    // O(n); a genuinely shuffled one is sorted.
+    const auto mid =
+        std::is_sorted_until(active_.begin(), active_.end(), entryBefore);
+    if (mid != active_.end()) {
+        if (std::is_sorted(mid, active_.end(), entryBefore)) {
+            // The late run is empty at activation: borrow it to hold
+            // the first run while merging back into the vector.
+            std::vector<Entry> &first = lateRun_;
+            first.assign(std::make_move_iterator(active_.begin()),
+                         std::make_move_iterator(mid));
+            size_t i = 0;
+            size_t j = first.size();
+            size_t k = 0;
+            while (i < first.size()) {
+                if (j < active_.size() && entryBefore(active_[j], first[i]))
+                    active_[k++] = std::move(active_[j++]);
+                else
+                    active_[k++] = std::move(first[i++]);
+            }
+            first.clear();
+        } else {
+            std::sort(active_.begin(), active_.end(), entryBefore);
+        }
+    }
     activeHead_ = 0;
     activeSorted_ = true;
     if (prof_) {
@@ -227,7 +281,7 @@ EventQueue::ensureNext(int64_t limit)
     if (pending_ == 0)
         return false;
     if (activeSorted_)
-        return true; // popNext() clears it when the vector drains.
+        return true; // popNext() clears it when all parts drain.
 
     // Lowest live tick: the fine ring first (it holds the current
     // block), then the next occupied block of the coarse ring, then
@@ -262,12 +316,42 @@ EventQueue::ensureNext(int64_t limit)
     }
 }
 
-TimeNs
-EventQueue::nextTime() const
+inline EventQueue::Source
+EventQueue::earliestSource() const
+{
+    const Entry *best = nullptr;
+    Source src = Source::None;
+    if (activeHead_ < active_.size()) {
+        best = &active_[activeHead_];
+        src = Source::Active;
+    }
+    if (lateHead_ < lateRun_.size() &&
+        (best == nullptr || entryBefore(lateRun_[lateHead_], *best))) {
+        best = &lateRun_[lateHead_];
+        src = Source::LateRun;
+    }
+    if (!lateHeap_.empty() &&
+        (best == nullptr || entryBefore(lateHeap_.front(), *best)))
+        src = Source::LateHeap;
+    return src;
+}
+
+inline EventQueue::Entry &
+EventQueue::headOf(Source src)
+{
+    switch (src) {
+      case Source::Active: return active_[activeHead_];
+      case Source::LateRun: return lateRun_[lateHead_];
+      default: return lateHeap_.front();
+    }
+}
+
+inline TimeNs
+EventQueue::nextTime()
 {
     if (nowHead_ < nowFifo_.size())
         return now_;
-    return active_[activeHead_].when;
+    return headOf(earliestSource()).when;
 }
 
 InlineEvent
@@ -276,20 +360,42 @@ EventQueue::popNext()
     if (nowHead_ < nowFifo_.size())
         return std::move(nowFifo_[nowHead_++]);
 
-    TimeNs t = active_[activeHead_].when;
+    const TimeNs t = nextTime();
     now_ = t;
-    // Move the whole equal-time run into the FIFO: entries scheduled
-    // *during* its execution at time t (strictly higher seq) then
-    // naturally queue behind it, preserving (time, seq) order.
-    while (activeHead_ < active_.size() && active_[activeHead_].when == t) {
-        nowFifo_.push_back(std::move(active_[activeHead_].cb));
-        ++activeHead_;
+    // Move the whole equal-time run into the FIFO, merging the active
+    // tick's three parts by (when, seq): entries scheduled *during*
+    // its execution at time t (strictly higher seq) then naturally
+    // queue behind it, preserving (time, seq) order. Without late
+    // entries, the common case, the run is a prefix of the vector.
+    if (lateRun_.empty() && lateHeap_.empty()) {
+        while (activeHead_ < active_.size() &&
+               active_[activeHead_].when == t)
+            nowFifo_.push_back(std::move(active_[activeHead_++].cb));
+    }
+    for (Source src; (src = earliestSource()) != Source::None;) {
+        Entry &e = headOf(src);
+        if (e.when != t)
+            break;
+        nowFifo_.push_back(std::move(e.cb));
+        if (src == Source::Active) {
+            ++activeHead_;
+        } else if (src == Source::LateRun) {
+            ++lateHead_;
+        } else {
+            std::pop_heap(lateHeap_.begin(), lateHeap_.end(), entryAfter);
+            lateHeap_.pop_back();
+        }
     }
     if (activeHead_ == active_.size()) {
         active_.clear();
         activeHead_ = 0;
-        activeSorted_ = false;
     }
+    if (lateHead_ == lateRun_.size()) {
+        lateRun_.clear();
+        lateHead_ = 0;
+    }
+    activeSorted_ = !active_.empty() || !lateRun_.empty() ||
+                    !lateHeap_.empty();
     return std::move(nowFifo_[nowHead_++]);
 }
 
@@ -365,7 +471,9 @@ size_t
 EventQueue::bytesInUse() const
 {
     return nowFifo_.capacity() * sizeof(InlineEvent) +
-           (active_.capacity() + overflow_.capacity()) * sizeof(Entry) +
+           (active_.capacity() + lateRun_.capacity() +
+            lateHeap_.capacity() + overflow_.capacity()) *
+               sizeof(Entry) +
            chunks_.size() * sizeof(Chunk) +
            chunks_.capacity() * sizeof(std::unique_ptr<Chunk>);
 }
@@ -380,6 +488,9 @@ EventQueue::reset()
     nowHead_ = 0;
     active_.clear();
     activeHead_ = 0;
+    lateRun_.clear();
+    lateHead_ = 0;
+    lateHeap_.clear();
     activeSorted_ = false;
     auto discard = [](Entry &&e) { e.cb = nullptr; };
     for (Bucket &bucket : fine_)

@@ -22,6 +22,9 @@
  *  - The fine ring has one bucket per tick of the current block.
  *    Scheduling into it is an O(1) append; a bucket is moved into one
  *    contiguous vector and sorted once when the clock reaches it.
+ *    Events scheduled into that active tick afterwards are appended
+ *    to a run beside it while they come in (time, seq) order, and go
+ *    to a small min-heap otherwise; pops merge the three.
  *  - The coarse ring has one bucket per block for the next
  *    kNumBlocks - 1 blocks (~67 ms). Scheduling into it is an O(1)
  *    append; a block's bucket is poured into the fine ring once, when
@@ -41,6 +44,12 @@
  * waits in can never reorder events, because the queue always drains
  * the lowest tick fully ordered by (time, seq) before touching later
  * ticks, and tick order is consistent with time order.
+ *
+ * Reserved sequence numbers (reserveSeqs() / scheduleReserved()) let
+ * a component claim the seqs of a chain of future events up front and
+ * insert each one only when its predecessor fires: the chain then
+ * dispatches exactly where eager scheduling would have put it, while
+ * only one of its events is pending at a time.
  */
 #ifndef ASTRA_EVENT_EVENT_QUEUE_H_
 #define ASTRA_EVENT_EVENT_QUEUE_H_
@@ -106,8 +115,8 @@ class EventQueue
   public:
     /** Tick width. One tick should be comfortably below the typical
      *  event spacing created by link latencies (hundreds of ns), so
-     *  that dependent events land in later buckets and the active
-     *  bucket rarely takes sorted inserts. A power of two, so tick
+     *  that most dependent events land in later buckets; the rest go
+     *  to the active tick's late parts. A power of two, so tick
      *  arithmetic is exact. */
     static constexpr TimeNs kBucketWidthNs = 64.0;
 
@@ -135,6 +144,30 @@ class EventQueue
     /** Schedule `cb` at absolute time `when` (>= now - kTimeEpsNs;
      *  earlier times within the tolerance clamp to now). */
     void scheduleAt(TimeNs when, EventCallback cb);
+
+    /**
+     * Reserve `n` consecutive sequence numbers for events that will be
+     * scheduled later through scheduleReserved(); returns the first.
+     * The block takes the place in (time, seq) order that `n` timed
+     * scheduleAt() calls made right now would have taken.
+     */
+    uint64_t
+    reserveSeqs(size_t n)
+    {
+        const uint64_t first = seq_;
+        seq_ += n;
+        return first;
+    }
+
+    /**
+     * Schedule `cb` at absolute `when` (>= now - kTimeEpsNs) under a
+     * sequence number from reserveSeqs(), each used once. An event due
+     * at now() goes to the head of the now-FIFO, so it must precede
+     * every other pending event at now(): it must be scheduled by the
+     * running event's callback as that event's successor (seq + 1),
+     * the only way a reserved chain reaches the current time.
+     */
+    void scheduleReserved(TimeNs when, uint64_t seq, EventCallback cb);
 
     /** Number of pending events. */
     size_t pending() const { return pending_; }
@@ -185,11 +218,12 @@ class EventQueue
     void setMonitor(telemetry::Monitor *monitor);
 
     /**
-     * Heap bytes held by the queue's containers (telemetry footprint
-     * protocol, docs/observability.md): capacity-based, so it is a
-     * deterministic function of the event sequence, not of malloc.
-     * Pooled chunks count whether live or free, so after a burst the
-     * figure stays at the burst's chunk high-water mark.
+     * Heap bytes held by the queue's containers, the late parts
+     * included (telemetry footprint protocol, docs/observability.md):
+     * capacity-based, so it is a deterministic function of the event
+     * sequence, not of malloc. Pooled chunks count whether live or
+     * free, so after a burst the figure stays at the burst's chunk
+     * high-water mark.
      */
     size_t bytesInUse() const;
 
@@ -235,8 +269,12 @@ class EventQueue
 
     static int64_t blockOf(int64_t tick) { return tick / kRingTicks; }
 
+    /** Queue a timed entry (when > now_): into the late run or heap
+     *  if it falls in the live active tick, else through place(). */
+    void insertTimed(Entry &&e);
+
     /** Route a timed entry to the fine ring, the coarse ring or the
-     *  overflow heap by its block. Never touches the active vector. */
+     *  overflow heap by its block. Never touches the active tick. */
     void place(Entry &&e);
 
     void append(Bucket &bucket, Entry &&e);
@@ -252,10 +290,19 @@ class EventQueue
     bool ensureNext(int64_t limit);
 
     /** Time of the next event; call only after ensureNext() == true. */
-    TimeNs nextTime() const;
+    TimeNs nextTime();
+
+    /** A part of the live active tick (see active_ below). */
+    enum class Source { None, Active, LateRun, LateHeap };
+
+    /** The part whose head is the active tick's earliest entry. */
+    Source earliestSource() const;
+
+    /** The head entry of a non-empty part. */
+    Entry &headOf(Source src);
 
     /** Make fine-ring `tick` the active tick: move its bucket into the
-     *  active vector and sort it. */
+     *  active vector and sort it (the late parts are empty then). */
     void activate(int64_t tick);
 
     /** Move the clock into `block` (its fine ring must be empty):
@@ -277,12 +324,19 @@ class EventQueue
     std::vector<InlineEvent> nowFifo_;
     size_t nowHead_ = 0;
 
-    // The active tick baseTick_ (in block curBlock_): its entries
-    // sorted ascending by (when, seq), activeHead_ the pop cursor.
-    // While activeSorted_ is false the tick's entries (if any) still
-    // sit in its fine bucket.
+    // The active tick baseTick_ (in block curBlock_), in three parts,
+    // each ordered by (when, seq) and popped from its head:
+    //  - active_: its bucket, sorted at activation;
+    //  - lateRun_: entries scheduled into the tick after activation,
+    //    as long as each comes after the previous one;
+    //  - lateHeap_: the other late entries, a min-heap.
+    // activeSorted_ holds while any part has entries; while it is
+    // false the tick's entries (if any) still sit in its fine bucket.
     std::vector<Entry> active_;
     size_t activeHead_ = 0;
+    std::vector<Entry> lateRun_;
+    size_t lateHead_ = 0;
+    std::vector<Entry> lateHeap_;
     bool activeSorted_ = false;
     int64_t baseTick_ = 0;
     int64_t curBlock_ = 0;

@@ -71,11 +71,44 @@ PacketNetwork::launchMessage(uint64_t msg_id,
                              Bytes bytes, int packets,
                              EventCallback on_injected)
 {
+    // A first hop that is up is claimed for every packet now, in packet
+    // order, and only packet 0's arrival is queued: it takes the next
+    // seq and its successors the block reserved right behind it, the
+    // seqs eager per-packet scheduling would have given them. A first
+    // hop that is down parks every packet on its own instead, and
+    // setLinkUp(true) re-issues them one by one.
+    const LinkId first = (*path)[0];
+    const bool train = portUp_[first] != 0;
     Bytes remaining = bytes;
+    TimeNs head_done = 0.0;
     for (int p = 0; p < packets; ++p) {
         Bytes pkt = std::min(packetBytes_, remaining);
         remaining -= pkt;
-        forwardPacket(msg_id, path, 0, pkt);
+        if (!train) {
+            forwardPacket(msg_id, path, 0, pkt); // parks it
+            continue;
+        }
+        TimeNs tx_done = claimLink(first, msg_id, pkt);
+        if (p == 0)
+            head_done = tx_done;
+    }
+    if (train) {
+        const LinkGraph::Link &link = graph_.link(first);
+        // Only a zero-byte message on a zero-latency link arrives at
+        // now, where scheduleAt() takes no seq.
+        ASTRA_ASSERT(packets == 1 || head_done + link.latency > eq_.now(),
+                     "packet train head due at now");
+        const Bytes head_bytes = std::min(packetBytes_, bytes);
+        Message &msg = messages_.get(msg_id);
+        msg.path = path;
+        msg.trainTxDone = head_done;
+        msg.trainBytes = head_bytes;
+        msg.trainRemaining = bytes - head_bytes;
+        msg.trainBandwidth = link.bandwidth * portScale_[first];
+        msg.trainLeft = packets - 1;
+        eq_.scheduleAt(head_done + link.latency,
+                       [this, msg_id]() { trainArrived(msg_id); });
+        msg.trainSeq = eq_.reserveSeqs(static_cast<size_t>(packets - 1));
     }
 
     if (on_injected) {
@@ -86,6 +119,50 @@ PacketNetwork::launchMessage(uint64_t msg_id,
         eq_.scheduleAt(std::max(eq_.now(), ports_[(*path)[0]].freeAt),
                        std::move(on_injected));
     }
+}
+
+TimeNs
+PacketNetwork::claimLink(LinkId lid, uint64_t msg_id, Bytes pkt_bytes)
+{
+    const LinkGraph::Link &link = graph_.link(lid);
+    PortState &port = ports_[lid];
+    TimeNs start = std::max(eq_.now(), port.freeAt);
+    TimeNs tx = txTime(pkt_bytes + headerBytes_,
+                       link.bandwidth * portScale_[lid]);
+    TimeNs tx_done = start + tx;
+    port.freeAt = tx_done;
+    port.busyNs += tx;
+    accountBusy(link.dim, tx, port.busyNs);
+    if (tracer_)
+        tracer_->linkBusy(lid, start, tx_done);
+    if (Message *msg = messages_.find(msg_id); msg && msg->owner)
+        (*msg->owner)[static_cast<size_t>(link.dim)] += tx;
+    return tx_done;
+}
+
+void
+PacketNetwork::trainArrived(uint64_t msg_id)
+{
+    // Read the slot before forwarding: delivery may claim new messages
+    // and grow (reallocate) the pool.
+    Message &msg = messages_.get(msg_id);
+    const std::vector<LinkId> *path = msg.path;
+    const Bytes pkt_bytes = msg.trainBytes;
+    if (msg.trainLeft > 0) {
+        // The launch loop's arithmetic: the port was free again at the
+        // previous packet's end (>= launch time), so this packet's
+        // transmission starts exactly there, at the launch bandwidth.
+        --msg.trainLeft;
+        Bytes next = std::min(packetBytes_, msg.trainRemaining);
+        msg.trainRemaining -= next;
+        msg.trainBytes = next;
+        msg.trainTxDone += txTime(next + headerBytes_, msg.trainBandwidth);
+        const TimeNs when =
+            msg.trainTxDone + graph_.link((*path)[0]).latency;
+        eq_.scheduleReserved(when, msg.trainSeq++,
+                             [this, msg_id]() { trainArrived(msg_id); });
+    }
+    forwardPacket(msg_id, path, 1, pkt_bytes);
 }
 
 void
@@ -103,22 +180,10 @@ PacketNetwork::forwardPacket(uint64_t msg_id,
         parked_[lid].push_back(ParkedPacket{msg_id, path, hop, pkt_bytes});
         return;
     }
-    const LinkGraph::Link &link = graph_.link(lid);
-    PortState &port = ports_[lid];
-    TimeNs start = std::max(eq_.now(), port.freeAt);
-    TimeNs tx = txTime(pkt_bytes + headerBytes_,
-                       link.bandwidth * portScale_[lid]);
-    TimeNs tx_done = start + tx;
-    port.freeAt = tx_done;
-    port.busyNs += tx;
-    accountBusy(link.dim, tx, port.busyNs);
-    if (tracer_)
-        tracer_->linkBusy(lid, start, tx_done);
-    if (Message *msg = messages_.find(msg_id); msg && msg->owner)
-        (*msg->owner)[static_cast<size_t>(link.dim)] += tx;
+    TimeNs tx_done = claimLink(lid, msg_id, pkt_bytes);
     // [this, id, ptr, 2 words]: inline in InlineEvent — the per-hop
     // closure chain performs no allocation at all.
-    eq_.scheduleAt(tx_done + link.latency,
+    eq_.scheduleAt(tx_done + graph_.link(lid).latency,
                    [this, msg_id, path, hop, pkt_bytes]() {
                        forwardPacket(msg_id, path, hop + 1, pkt_bytes);
                    });

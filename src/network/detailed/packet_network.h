@@ -15,6 +15,13 @@
  * accuracy comparisons in bench_flow_vs_packet and the equivalence
  * tests rely on that. This backend adds the per-link FIFO state
  * (next-free time) on top.
+ *
+ * A message's first hop is claimed for all of its packets at launch,
+ * but their arrivals at the far end of that hop form a *train*: only
+ * the next packet's arrival is pending, and each arrival arms its
+ * successor under a sequence number reserved at launch. Dispatch order
+ * and every simulated number are those of scheduling each arrival
+ * eagerly, while pending events stay O(messages x hops).
  */
 #ifndef ASTRA_NETWORK_DETAILED_PACKET_NETWORK_H_
 #define ASTRA_NETWORK_DETAILED_PACKET_NETWORK_H_
@@ -118,6 +125,15 @@ class PacketNetwork : public NetworkApi
         /** Per-job attribution target captured at submission (the
          *  NetworkApi send-owner channel); null when unattributed. */
         std::vector<double> *owner = nullptr;
+        // First-hop train: the pending packet's arrival, and what
+        // rebuilds its successors' with the launch loop's arithmetic.
+        const std::vector<LinkId> *path = nullptr;
+        TimeNs trainTxDone = 0.0;    //!< pending packet's first-hop end.
+        Bytes trainBytes = 0.0;      //!< pending packet's payload.
+        Bytes trainRemaining = 0.0;  //!< payload after the pending one.
+        double trainBandwidth = 0.0; //!< launch-time bandwidth * scale.
+        uint64_t trainSeq = 0;       //!< reserved seq of the successor.
+        int trainLeft = 0;           //!< packets after the pending one.
     };
 
     /** A packet held at an administratively-down link. */
@@ -132,6 +148,12 @@ class PacketNetwork : public NetworkApi
     void launchMessage(uint64_t msg_id, const std::vector<LinkId> *path,
                        Bytes bytes, int packets,
                        EventCallback on_injected);
+    /** Serialize one packet on link `lid` behind its FIFO (stats,
+     *  trace and owner accounting); returns the transmit end. */
+    TimeNs claimLink(LinkId lid, uint64_t msg_id, Bytes pkt_bytes);
+    /** A train packet reached the end of the first hop: arm the next
+     *  one, then forward this one. */
+    void trainArrived(uint64_t msg_id);
     void forwardPacket(uint64_t msg_id, const std::vector<LinkId> *path,
                        size_t hop, Bytes pkt_bytes);
     void packetArrived(uint64_t msg_id);

@@ -9,12 +9,20 @@
  * outside the run into the gap and into every tier, and scenarios end
  * in a full drain, a reset() or destruction with entries pending.
  *
+ * Chains under reserved sequence numbers are mixed in: a chain takes
+ * a block of seqs when it starts, and each of its events schedules
+ * its successor (scheduleReserved) only when it fires. Successors land
+ * at exactly the current time, inside the active tick (the late run
+ * or heap) or in any later tier.
+ *
  * Every scheduled event is also recorded with its effective time and
- * its schedule index. The queue must dispatch exactly in the order a
- * stable sort on (time, index) gives: the executed events are always
- * a prefix of that order. Pooled (over-budget) captures are mixed in
- * so CallbackPool::outstanding() returning to 0 proves that reset()
- * and destruction release every pending callback.
+ * its schedule index (a chain records all of its events, with
+ * consecutive indices, when it starts). The queue must dispatch
+ * exactly in the order a stable sort on (time, index) gives: the
+ * executed events are always a prefix of that order. Pooled
+ * (over-budget) captures are mixed in so CallbackPool::outstanding()
+ * returning to 0 proves that reset() and destruction release every
+ * pending callback.
  */
 #include <gtest/gtest.h>
 
@@ -22,6 +30,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -48,19 +57,81 @@ class Harness
     scheduleRandom()
     {
         const TimeNs now = eq_.now();
-        switch (rng_.uniformInt(0, 6)) {
+        switch (rng_.uniformInt(0, 7)) {
           case 0: add(now); break; // zero delay
           case 1: // a shared 500 ns grid: many equal timestamps
             add(std::floor(now / 500.0 + double(rng_.uniformInt(1, 4))) *
                 500.0);
             break;
-          case 2: add(now + rng_.uniform(0.0, kTick)); break;
+          case 2:
+            if (rng_.uniformInt(0, 1) == 0)
+                add(now + rng_.uniform(0.0, kTick));
+            else // a shared 16 ns grid: ties inside the active tick
+                add(std::floor(now / 16.0 + double(rng_.uniformInt(1, 4))) *
+                    16.0);
+            break;
           case 3: add(now + rng_.uniform(0.0, kFineSpan)); break;
           case 4: add(now + rng_.uniform(kFineSpan, kCoarseSpan)); break;
           case 5:
             add(now + rng_.uniform(kCoarseSpan, 40.0 * kCoarseSpan));
             break;
-          default: add(now + rng_.uniform(0.0, 8.0 * kCoarseSpan)); break;
+          case 6: add(now + rng_.uniform(0.0, 8.0 * kCoarseSpan)); break;
+          default: startChain(); break;
+        }
+    }
+
+    /**
+     * Start a chain of events under reserved seqs. Its head lies
+     * strictly after now, within a tick or up to two blocks ahead.
+     * Each successor follows its predecessor by zero (due at the
+     * predecessor's firing time), by less than a tick (on or off the
+     * 16 ns grid that ordinary events also use, so they tie), or by up
+     * to a block or more.
+     */
+    void
+    startChain()
+    {
+        const TimeNs now = eq_.now();
+        Chain c;
+        const size_t n = static_cast<size_t>(rng_.uniformInt(2, 24));
+        TimeNs t = now + (rng_.uniformInt(0, 1) == 0
+                              ? rng_.uniform(1.0, kTick)
+                              : rng_.uniform(1.0, 2.0 * kFineSpan));
+        for (size_t i = 0; i < n; ++i) {
+            c.times.push_back(t);
+            switch (rng_.uniformInt(0, 5)) {
+              case 0:
+              case 1: break; // equal time: the now-FIFO head
+              case 2: t = std::floor(t / 16.0 + 1.0) * 16.0; break;
+              case 3: t += rng_.uniform(0.0, kTick / 4.0); break;
+              case 4: t += rng_.uniform(0.0, kFineSpan); break;
+              default: t += rng_.uniform(0.0, 2.0 * kCoarseSpan); break;
+            }
+        }
+        c.firstLabel = ref_.size();
+        for (TimeNs when : c.times)
+            ref_.push_back({when, ref_.size()});
+        c.firstSeq = eq_.reserveSeqs(n);
+        chains_.push_back(std::move(c));
+        arm(chains_.size() - 1, 0);
+    }
+
+    /** Schedule event `k` of chain `id` under its reserved seq. */
+    void
+    arm(size_t id, size_t k)
+    {
+        const Chain &c = chains_[id];
+        const TimeNs when = c.times[k];
+        const uint64_t seq = c.firstSeq + k;
+        if (rng_.uniformInt(0, 3) == 0) {
+            std::array<uint64_t, 8> pad{};
+            pad[6] = id;
+            pad[7] = k;
+            eq_.scheduleReserved(when, seq,
+                                 [this, pad] { fireChain(pad[6], pad[7]); });
+        } else {
+            eq_.scheduleReserved(when, seq,
+                                 [this, id, k] { fireChain(id, k); });
         }
     }
 
@@ -106,6 +177,27 @@ class Harness
         uint64_t label;
     };
 
+    struct Chain
+    {
+        std::vector<TimeNs> times;
+        uint64_t firstLabel = 0;
+        uint64_t firstSeq = 0;
+    };
+
+    /** Event `k` of chain `id` fires: arm its successor before or
+     *  after the fan-out, which must not matter. */
+    void
+    fireChain(size_t id, size_t k)
+    {
+        const bool armFirst = rng_.uniformInt(0, 1) == 0;
+        const bool last = k + 1 == chains_[id].times.size();
+        if (armFirst && !last)
+            arm(id, k + 1);
+        fire(chains_[id].firstLabel + k);
+        if (!armFirst && !last)
+            arm(id, k + 1);
+    }
+
     void
     fire(uint64_t label)
     {
@@ -120,6 +212,7 @@ class Harness
     Rng rng_;
     int budget_;
     std::vector<Ref> ref_;
+    std::deque<Chain> chains_;
     std::vector<uint64_t> fired_;
     std::vector<TimeNs> firedAt_;
 };
@@ -197,6 +290,34 @@ TEST(EventQueueDifferential, MatchesStableSortAcrossTiers)
     }
 }
 
+/** A reserved chain that re-arms itself every 8 ns: each successor
+ *  lands in the active tick's late run or in the next tick. */
+class Train
+{
+  public:
+    Train(EventQueue &eq, TimeNs start, int length)
+        : eq_(eq), seq_(eq.reserveSeqs(static_cast<size_t>(length))),
+          left_(length)
+    {
+        arm(start);
+    }
+
+  private:
+    void
+    arm(TimeNs when)
+    {
+        --left_;
+        eq_.scheduleReserved(when, seq_++, [this, when] {
+            if (left_ > 0)
+                arm(when + 8.0);
+        });
+    }
+
+    EventQueue &eq_;
+    uint64_t seq_;
+    int left_;
+};
+
 TEST(EventQueueDifferential, FootprintFollowsLiveEvents)
 {
     // Each round schedules a burst of kBurst events concentrated in a
@@ -204,9 +325,13 @@ TEST(EventQueueDifferential, FootprintFollowsLiveEvents)
     // Buckets that each kept their peak capacity would grow the
     // footprint round after round; pooled chunks keep it at the live
     // peak plus one partly filled chunk per bucket, plus the single
-    // active vector (at most twice the largest bucket).
+    // active vector (at most twice the largest bucket). Reserved-seq
+    // trains run through every burst: they hold one pending event
+    // each, so the late run they feed stays small.
     constexpr size_t kBurst = 16384;
     constexpr int kRounds = 24;
+    constexpr int kTrains = 64;
+    constexpr int kTrainLength = 256;
     const size_t entry_bytes = sizeof(TimeNs) + sizeof(uint64_t) +
                                sizeof(InlineEvent);
     const size_t chunk_bytes =
@@ -222,13 +347,18 @@ TEST(EventQueueDifferential, FootprintFollowsLiveEvents)
         const TimeNs width = kTick * double(1 + r % 4);
         for (size_t i = 0; i < kBurst; ++i)
             eq.scheduleAt(base + rng.uniform(0.0, width), [] {});
+        std::vector<std::unique_ptr<Train>> trains;
+        for (int t = 0; t < kTrains; ++t)
+            trains.push_back(std::make_unique<Train>(
+                eq, base + rng.uniform(0.0, width), kTrainLength));
         eq.run();
     }
     const size_t bound = 3 * kBurst * entry_bytes +
                          (EventQueue::kNumBuckets + EventQueue::kNumBlocks) *
                              chunk_bytes;
     EXPECT_LE(eq.bytesInUse(), bound);
-    EXPECT_EQ(eq.executedEvents(), kBurst * kRounds);
+    EXPECT_EQ(eq.executedEvents(),
+              (kBurst + kTrains * kTrainLength) * kRounds);
 }
 
 } // namespace

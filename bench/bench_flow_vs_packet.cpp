@@ -27,11 +27,21 @@
  * the reported gap is purely the fluid approximation. The flow rows
  * also record the incremental solver's work counters (solves,
  * flows_touched_total, avg_component_frac — docs/network.md).
+ *
+ * Every timed run (one scenario on one backend) executes in its own
+ * forked child process, so its wall time starts from the same process
+ * state whichever runs came before it; in one shared process a run's
+ * wall would also depend on the heap the previous runs left behind.
  */
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "collective/engine.h"
@@ -81,6 +91,56 @@ runTransfers(NetworkApi &net, EventQueue &eq,
     return r;
 }
 
+/**
+ * Run `fn` in a forked child and return its result, which travels back
+ * through a pipe (so it must be trivially copyable). Fails the bench
+ * if the child does not exit cleanly.
+ */
+template <typename Fn>
+auto
+inChildProcess(Fn &&fn)
+{
+    using T = decltype(fn());
+    static_assert(std::is_trivially_copyable_v<T>);
+    int fds[2];
+    if (pipe(fds) != 0)
+        fatal("pipe failed: %s", std::strerror(errno));
+    std::fflush(nullptr);
+    const pid_t pid = fork();
+    if (pid < 0)
+        fatal("fork failed: %s", std::strerror(errno));
+    if (pid == 0) {
+        close(fds[0]);
+        const T result = fn();
+        const bool sent =
+            write(fds[1], &result, sizeof(T)) == ssize_t(sizeof(T));
+        _exit(sent ? 0 : 1);
+    }
+    close(fds[1]);
+    T result{};
+    size_t got = 0;
+    while (got < sizeof(T)) {
+        const ssize_t n = read(fds[0], reinterpret_cast<char *>(&result) + got,
+                               sizeof(T) - got);
+        if (n <= 0)
+            break;
+        got += size_t(n);
+    }
+    close(fds[0]);
+    int status = 0;
+    waitpid(pid, &status, 0);
+    if (got != sizeof(T) || !WIFEXITED(status) || WEXITSTATUS(status) != 0)
+        fatal("benchmark child process failed");
+    return result;
+}
+
+/** A flow-backend run and its solver's work counters. */
+struct FlowRun
+{
+    RunResult run;
+    FlowNetwork::SolverStats solver;
+};
+
 struct Scenario
 {
     std::string name;
@@ -112,17 +172,19 @@ runScenario(const std::string &name, const Topology &topo,
 {
     Scenario s;
     s.name = name;
-    {
+    const FlowRun flow = inChildProcess([&] {
         EventQueue eq;
         FlowNetwork net(eq, topo);
-        s.flow = runTransfers(net, eq, transfers);
-        s.solver = net.solverStats();
-    }
-    {
+        RunResult r = runTransfers(net, eq, transfers);
+        return FlowRun{r, net.solverStats()};
+    });
+    s.flow = flow.run;
+    s.solver = flow.solver;
+    s.packet = inChildProcess([&] {
         EventQueue eq;
         PacketNetwork net(eq, topo, 4096.0);
-        s.packet = runTransfers(net, eq, transfers);
-    }
+        return runTransfers(net, eq, transfers);
+    });
     return s;
 }
 
@@ -188,18 +250,20 @@ benchHierAllReduce256()
 
     Scenario s;
     s.name = "hier_allreduce_256";
-    {
+    const FlowRun flow = inChildProcess([&] {
         EventQueue eq;
         FlowNetwork net(eq, topo);
-        s.flow = runStaggeredCollectives(net, eq, req, kRounds, kStagger);
-        s.solver = net.solverStats();
-    }
-    {
+        RunResult r =
+            runStaggeredCollectives(net, eq, req, kRounds, kStagger);
+        return FlowRun{r, net.solverStats()};
+    });
+    s.flow = flow.run;
+    s.solver = flow.solver;
+    s.packet = inChildProcess([&] {
         EventQueue eq;
         PacketNetwork net(eq, topo, 4096.0);
-        s.packet =
-            runStaggeredCollectives(net, eq, req, kRounds, kStagger);
-    }
+        return runStaggeredCollectives(net, eq, req, kRounds, kStagger);
+    });
     return s;
 }
 

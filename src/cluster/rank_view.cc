@@ -55,7 +55,7 @@ RankViewNetwork::globalOf(NpuId local) const
 
 void
 RankViewNetwork::simSend(NpuId src, NpuId dst, Bytes bytes, int dim,
-                         uint64_t tag, SendHandlers handlers)
+                         uint64_t tag, SendHandlers &&handlers)
 {
     NpuId gsrc = globalOf(src);
     NpuId gdst = globalOf(dst);
@@ -103,7 +103,7 @@ RankViewNetwork::simSend(NpuId src, NpuId dst, Bytes bytes, int dim,
 
 void
 RankViewNetwork::simRecv(NpuId dst, NpuId src, uint64_t tag,
-                         EventCallback cb)
+                         EventCallback &&cb)
 {
     // Deliveries happen in the fabric's matching tables (simSend is
     // forwarded), so receives must be posted there too.

@@ -63,10 +63,10 @@ class RankViewNetwork : public NetworkApi
                     const JobPlacement &placement, uint64_t tag_salt);
 
     void simSend(NpuId src, NpuId dst, Bytes bytes, int dim, uint64_t tag,
-                 SendHandlers handlers) override;
+                 SendHandlers &&handlers) override;
 
     void simRecv(NpuId dst, NpuId src, uint64_t tag,
-                 EventCallback cb) override;
+                 EventCallback &&cb) override;
 
     NpuId globalOf(NpuId local) const;
 

@@ -104,7 +104,7 @@ CollectiveEngine::bytesInUse() const
 
 void
 CollectiveEngine::join(uint64_t key, NpuId npu, const CollectiveRequest &req,
-                       EventCallback on_complete)
+                       EventCallback &&on_complete)
 {
     ASTRA_ASSERT(!cancelled_,
                  "join on a cancelled collective engine (the workload "

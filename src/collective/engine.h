@@ -57,7 +57,7 @@ class CollectiveEngine
      * fires when this NPU's participation ends.
      */
     void join(uint64_t key, NpuId npu, const CollectiveRequest &req,
-              EventCallback on_complete);
+              EventCallback &&on_complete);
 
     /** Total bytes sent per topology dimension (all NPUs, all time). */
     const std::vector<double> &sentBytesPerDim() const { return sent_; }

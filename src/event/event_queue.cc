@@ -58,9 +58,7 @@ findFrom(const std::array<uint64_t, W> &bits, size_t from)
 bool
 EventQueue::entryBefore(const Entry &a, const Entry &b)
 {
-    if (a.when != b.when)
-        return a.when < b.when;
-    return a.seq < b.seq;
+    return keyBefore(a.when, a.seq, b.when, b.seq);
 }
 
 bool
@@ -79,38 +77,53 @@ EventQueue::tickLimitOf(TimeNs until)
                              : std::numeric_limits<int64_t>::max();
 }
 
-inline void
-EventQueue::insertTimed(Entry &&e)
+void
+EventQueue::rejectTime(TimeNs when)
 {
-    // e.when > now_ >= the active tick's start, because the clock never
+    fatal("event time %g ns is not finite or not below the calendar's "
+          "limit of %g ns",
+          when, kMaxTimeNs);
+}
+
+inline void
+EventQueue::insertTimed(TimeNs when, uint64_t seq, InlineEvent &&cb)
+{
+    // when > now_ >= the active tick's start, because the clock never
     // moves the active tick past now_ (runUntil() bounds how far
     // ensureNext() may advance), so no entry lands behind the window.
-    if (activeSorted_ && tickOf(e.when) == baseTick_) {
+    if (activeSorted_ && tickOf(when) == baseTick_) {
         // The live active tick. Re-arming chains schedule in (when,
         // seq) order, so most entries just extend the late run; the
         // rest take O(log n) in the late heap. Neither is an O(n)
         // sorted insert into the active vector.
-        if (lateRun_.empty() || !entryBefore(e, lateRun_.back())) {
-            lateRun_.push_back(std::move(e));
+        if (lateRun_.empty() ||
+            !keyBefore(when, seq, lateRun_.back().when,
+                       lateRun_.back().seq)) {
+            lateRun_.emplace_back(when, seq, std::move(cb));
         } else {
-            lateHeap_.push_back(std::move(e));
+            lateHeap_.emplace_back(when, seq, std::move(cb));
             std::push_heap(lateHeap_.begin(), lateHeap_.end(), entryAfter);
         }
         return;
     }
-    place(std::move(e));
+    place(when, seq, std::move(cb));
 }
 
 void
-EventQueue::schedule(TimeNs delay, EventCallback cb)
+EventQueue::schedule(TimeNs delay, EventCallback &&cb)
 {
-    ASTRA_ASSERT(delay >= 0.0, "negative event delay %g", delay);
+    // NaN passes on to scheduleAt(), which rejects it by name.
+    ASTRA_ASSERT(!(delay < 0.0), "negative event delay %g", delay);
     scheduleAt(now_ + delay, std::move(cb));
 }
 
 void
-EventQueue::scheduleAt(TimeNs when, EventCallback cb)
+EventQueue::scheduleAt(TimeNs when, EventCallback &&cb)
 {
+    // One comparison rejects NaN, infinity and times whose tick would
+    // overflow the calendar's integer arithmetic.
+    if (!(when < kMaxTimeNs)) [[unlikely]]
+        rejectTime(when);
     ASTRA_ASSERT(timeNotBefore(when, now_),
                  "event scheduled in the past (when=%g now=%g)", when, now_);
     ++pending_;
@@ -121,12 +134,14 @@ EventQueue::scheduleAt(TimeNs when, EventCallback cb)
         nowFifo_.push_back(std::move(cb));
         return;
     }
-    insertTimed(Entry{when, seq_++, std::move(cb)});
+    insertTimed(when, seq_++, std::move(cb));
 }
 
 void
-EventQueue::scheduleReserved(TimeNs when, uint64_t seq, EventCallback cb)
+EventQueue::scheduleReserved(TimeNs when, uint64_t seq, EventCallback &&cb)
 {
+    if (!(when < kMaxTimeNs)) [[unlikely]]
+        rejectTime(when);
     ASTRA_ASSERT(timeNotBefore(when, now_),
                  "event scheduled in the past (when=%g now=%g)", when, now_);
     ASTRA_ASSERT(seq < seq_, "sequence number %llu was never reserved",
@@ -134,40 +149,54 @@ EventQueue::scheduleReserved(TimeNs when, uint64_t seq, EventCallback cb)
     ++pending_;
     if (when <= now_) {
         // Due now and (by contract) the running event's successor, so
-        // ahead of every other event at now: the FIFO head, which is
-        // the running event's own, already popped slot.
+        // ahead of every other event at now: the running event's own,
+        // already popped FIFO position. If that position stands for an
+        // entry of the equal-time run, the successor takes the entry's
+        // slot in the active vector instead.
         ASTRA_ASSERT(nowHead_ > 0,
                      "reserved event due now outside a dispatch");
-        nowFifo_[--nowHead_] = std::move(cb);
+        if (nowHead_ > runEnd_) {
+            nowFifo_[--nowHead_] = std::move(cb);
+            return;
+        }
+        --nowHead_;
+        Entry &slot = active_[--activeHead_];
+        slot.when = now_;
+        slot.seq = seq;
+        slot.cb = std::move(cb);
         return;
     }
-    insertTimed(Entry{when, seq, std::move(cb)});
+    insertTimed(when, seq, std::move(cb));
 }
 
 void
-EventQueue::place(Entry &&e)
+EventQueue::place(TimeNs when, uint64_t seq, InlineEvent &&cb)
 {
-    const int64_t tick = tickOf(e.when);
+    const int64_t tick = tickOf(when);
     const int64_t ahead = blockOf(tick) - curBlock_;
     ASTRA_ASSERT(tick >= baseTick_ && ahead >= 0,
-                 "event behind the calendar window (when=%g)", e.when);
+                 "event behind the calendar window (when=%g)", when);
+    Entry *slot;
     if (ahead == 0) {
-        const size_t slot = static_cast<size_t>(tick % kRingTicks);
-        append(fine_[slot], std::move(e));
-        setBit(fineBits_, slot);
+        const size_t i = static_cast<size_t>(tick % kRingTicks);
+        slot = &appendSlot(fine_[i]);
+        setBit(fineBits_, i);
     } else if (ahead < kRingBlocks) {
-        const size_t slot =
-            static_cast<size_t>(blockOf(tick) % kRingBlocks);
-        append(coarse_[slot], std::move(e));
-        setBit(coarseBits_, slot);
+        const size_t i = static_cast<size_t>(blockOf(tick) % kRingBlocks);
+        slot = &appendSlot(coarse_[i]);
+        setBit(coarseBits_, i);
     } else {
-        overflow_.push_back(std::move(e));
+        overflow_.emplace_back(when, seq, std::move(cb));
         std::push_heap(overflow_.begin(), overflow_.end(), entryAfter);
+        return;
     }
+    slot->when = when;
+    slot->seq = seq;
+    slot->cb = std::move(cb);
 }
 
-void
-EventQueue::append(Bucket &bucket, Entry &&e)
+EventQueue::Entry &
+EventQueue::appendSlot(Bucket &bucket)
 {
     Chunk *chunk = bucket.tail;
     if (chunk == nullptr || chunk->size == kChunkEntries) {
@@ -182,7 +211,7 @@ EventQueue::append(Bucket &bucket, Entry &&e)
         bucket.tail = fresh;
         chunk = fresh;
     }
-    chunk->entries[chunk->size++] = std::move(e);
+    return chunk->entries[chunk->size++];
 }
 
 template <typename Sink>
@@ -192,7 +221,7 @@ EventQueue::drain(Bucket &bucket, Sink &&sink)
     Chunk *chunk = bucket.head;
     while (chunk != nullptr) {
         for (size_t i = 0; i < chunk->size; ++i)
-            sink(std::move(chunk->entries[i]));
+            sink(chunk->entries[i]);
         Chunk *next = chunk->next;
         chunk->size = 0;
         chunk->next = freeChunks_;
@@ -208,8 +237,8 @@ EventQueue::activate(int64_t tick)
     baseTick_ = tick;
     const size_t slot = static_cast<size_t>(tick % kRingTicks);
     clearBit(fineBits_, slot);
-    drain(fine_[slot],
-          [this](Entry &&e) { active_.push_back(std::move(e)); });
+    active_.clear(); // the previous tick's popped shells.
+    drain(fine_[slot], [this](Entry &e) { active_.push_back(std::move(e)); });
     // Appends mostly carry increasing seq, so a bucket filled in
     // nondecreasing time order — the common case: synchronized
     // completion waves put hundreds of equal-timestamp events in one
@@ -256,16 +285,19 @@ EventQueue::enterBlock(int64_t block)
     baseTick_ = block * kRingTicks;
     const size_t slot = static_cast<size_t>(block % kRingBlocks);
     clearBit(coarseBits_, slot);
-    drain(coarse_[slot], [this](Entry &&e) { place(std::move(e)); });
+    drain(coarse_[slot], [this](Entry &e) {
+        place(e.when, e.seq, std::move(e.cb));
+    });
     // The coarse window now reaches kNumBlocks - 1 blocks past
     // `block`: overflow entries it covers migrate into the rings, so
     // the heap again holds only blocks beyond the window.
     while (!overflow_.empty() &&
            blockOf(tickOf(overflow_.front().when)) - block < kRingBlocks) {
         std::pop_heap(overflow_.begin(), overflow_.end(), entryAfter);
-        Entry e = std::move(overflow_.back());
+        // A covered entry goes to a ring, never back into this heap.
+        Entry &e = overflow_.back();
+        place(e.when, e.seq, std::move(e.cb));
         overflow_.pop_back();
-        place(std::move(e));
     }
 }
 
@@ -277,6 +309,7 @@ EventQueue::ensureNext(int64_t limit)
     if (nowHead_ != 0) {
         nowFifo_.clear();
         nowHead_ = 0;
+        runEnd_ = 0;
     }
     if (pending_ == 0)
         return false;
@@ -357,21 +390,38 @@ EventQueue::nextTime()
 InlineEvent
 EventQueue::popNext()
 {
-    if (nowHead_ < nowFifo_.size())
-        return std::move(nowFifo_[nowHead_++]);
+    if (nowHead_ < nowFifo_.size()) {
+        // FIFO positions below runEnd_ stand for the equal-time run,
+        // whose callbacks stay in the active vector.
+        if (nowHead_++ < runEnd_)
+            return std::move(active_[activeHead_++].cb);
+        return std::move(nowFifo_[nowHead_ - 1]);
+    }
 
     const TimeNs t = nextTime();
     now_ = t;
-    // Move the whole equal-time run into the FIFO, merging the active
-    // tick's three parts by (when, seq): entries scheduled *during*
-    // its execution at time t (strictly higher seq) then naturally
-    // queue behind it, preserving (time, seq) order. Without late
-    // entries, the common case, the run is a prefix of the vector.
     if (lateRun_.empty() && lateHeap_.empty()) {
-        while (activeHead_ < active_.size() &&
-               active_[activeHead_].when == t)
-            nowFifo_.push_back(std::move(active_[activeHead_++].cb));
+        // Without late entries, the common case, the run is a prefix of
+        // the active vector. It takes the FIFO's first positions, but
+        // its callbacks are popped straight from the vector: a move
+        // per event saved, while the FIFO's length (hence footprint)
+        // stays what moving them there would give.
+        size_t end = activeHead_ + 1;
+        while (end < active_.size() && active_[end].when == t)
+            ++end;
+        activeSorted_ = end < active_.size();
+        runEnd_ = end - activeHead_;
+        // One placeholder at a time: the FIFO grows exactly as it did
+        // when the run's callbacks were pushed into it.
+        for (size_t i = 0; i < runEnd_; ++i)
+            nowFifo_.emplace_back();
+        nowHead_ = 1;
+        return std::move(active_[activeHead_++].cb);
     }
+    // Otherwise move the whole equal-time run into the FIFO, merging
+    // the active tick's three parts by (when, seq): entries scheduled
+    // *during* its execution at time t (strictly higher seq) then
+    // naturally queue behind it, preserving (time, seq) order.
     for (Source src; (src = earliestSource()) != Source::None;) {
         Entry &e = headOf(src);
         if (e.when != t)
@@ -429,7 +479,7 @@ EventQueue::step()
     if (monitor_ != nullptr && --monitorCountdown_ == 0)
         monitorCountdown_ = monitor_->poll(now_, executed_, pending_);
     if (prof_) {
-        profiledDispatch(std::move(cb));
+        profiledDispatch(cb);
         return true;
     }
     if (cb)
@@ -438,7 +488,7 @@ EventQueue::step()
 }
 
 void
-EventQueue::profiledDispatch(InlineEvent cb)
+EventQueue::profiledDispatch(InlineEvent &cb)
 {
     if (executed_ % QueueProfile::kDepthSampleEvery == 0) {
         ++prof_->depthSamples;
@@ -488,11 +538,12 @@ EventQueue::reset()
     nowHead_ = 0;
     active_.clear();
     activeHead_ = 0;
+    runEnd_ = 0;
     lateRun_.clear();
     lateHead_ = 0;
     lateHeap_.clear();
     activeSorted_ = false;
-    auto discard = [](Entry &&e) { e.cb = nullptr; };
+    auto discard = [](Entry &e) { e.cb = nullptr; };
     for (Bucket &bucket : fine_)
         drain(bucket, discard);
     for (Bucket &bucket : coarse_)

@@ -138,12 +138,19 @@ class EventQueue
     /** Current simulated time in nanoseconds. */
     TimeNs now() const { return now_; }
 
-    /** Schedule `cb` to fire `delay` ns after now; delay must be >= 0. */
-    void schedule(TimeNs delay, EventCallback cb);
+    /** Latest schedulable time, exclusive (2^68 ns, ~9,000 years):
+     *  the calendar's tick arithmetic is exact below it. */
+    static constexpr TimeNs kMaxTimeNs = kBucketWidthNs * 0x1p62;
+
+    /** Schedule `cb` to fire `delay` ns after now; delay must be >= 0.
+     *  Like every scheduling call, takes ownership of `cb` (moves from
+     *  it) and throws FatalError for a time that is not finite or not
+     *  below kMaxTimeNs. */
+    void schedule(TimeNs delay, EventCallback &&cb);
 
     /** Schedule `cb` at absolute time `when` (>= now - kTimeEpsNs;
      *  earlier times within the tolerance clamp to now). */
-    void scheduleAt(TimeNs when, EventCallback cb);
+    void scheduleAt(TimeNs when, EventCallback &&cb);
 
     /**
      * Reserve `n` consecutive sequence numbers for events that will be
@@ -167,7 +174,7 @@ class EventQueue
      * running event's callback as that event's successor (seq + 1),
      * the only way a reserved chain reaches the current time.
      */
-    void scheduleReserved(TimeNs when, uint64_t seq, EventCallback cb);
+    void scheduleReserved(TimeNs when, uint64_t seq, EventCallback &&cb);
 
     /** Number of pending events. */
     size_t pending() const { return pending_; }
@@ -269,19 +276,26 @@ class EventQueue
 
     static int64_t blockOf(int64_t tick) { return tick / kRingTicks; }
 
-    /** Queue a timed entry (when > now_): into the late run or heap
+    /** Queue a timed event (when > now_): into the late run or heap
      *  if it falls in the live active tick, else through place(). */
-    void insertTimed(Entry &&e);
+    void insertTimed(TimeNs when, uint64_t seq, InlineEvent &&cb);
 
-    /** Route a timed entry to the fine ring, the coarse ring or the
-     *  overflow heap by its block. Never touches the active tick. */
-    void place(Entry &&e);
+    /** Write a timed event straight into its slot: the fine ring, the
+     *  coarse ring or the overflow heap, by its block. Serves both
+     *  scheduling and the block pour; never touches the active tick. */
+    void place(TimeNs when, uint64_t seq, InlineEvent &&cb);
 
-    void append(Bucket &bucket, Entry &&e);
+    /** The free slot at the end of `bucket`, taking a pooled chunk
+     *  when the tail one is full. */
+    Entry &appendSlot(Bucket &bucket);
 
-    /** Hand every entry of `bucket` to `sink` (as Entry &&) and return
-     *  its chunks to the pool, leaving the bucket empty. */
+    /** Hand every entry of `bucket` to `sink` (as Entry &) and return
+     *  its chunks to the pool, leaving the bucket empty. The sink
+     *  moves the callback out; the slot keeps the empty shell. */
     template <typename Sink> void drain(Bucket &bucket, Sink &&sink);
+
+    /** Throw the FatalError for a time scheduleAt() cannot hold. */
+    [[noreturn]] static void rejectTime(TimeNs when);
 
     /** Establish the next event source without activating any tick
      *  beyond `limit`: returns false when empty (or only events past
@@ -315,14 +329,22 @@ class EventQueue
 
     /** step() tail with a profile attached (out of line to keep the
      *  unprofiled dispatch loop tight). */
-    void profiledDispatch(InlineEvent cb);
+    void profiledDispatch(InlineEvent &cb);
 
+    static bool
+    keyBefore(TimeNs a_when, uint64_t a_seq, TimeNs b_when, uint64_t b_seq)
+    {
+        return a_when != b_when ? a_when < b_when : a_seq < b_seq;
+    }
     static bool entryBefore(const Entry &a, const Entry &b);
     static bool entryAfter(const Entry &a, const Entry &b);
 
     // Events at exactly now_ in insertion order (head index pops).
+    // Positions [0, runEnd_) stand for the equal-time run popped
+    // straight from active_ (empty placeholders here).
     std::vector<InlineEvent> nowFifo_;
     size_t nowHead_ = 0;
+    size_t runEnd_ = 0;
 
     // The active tick baseTick_ (in block curBlock_), in three parts,
     // each ordered by (when, seq) and popped from its head:
@@ -330,8 +352,12 @@ class EventQueue
     //  - lateRun_: entries scheduled into the tick after activation,
     //    as long as each comes after the previous one;
     //  - lateHeap_: the other late entries, a min-heap.
-    // activeSorted_ holds while any part has entries; while it is
-    // false the tick's entries (if any) still sit in its fine bucket.
+    // activeSorted_ holds while any part has entries not yet taken
+    // into a run; while it is false the tick's entries (if any) still
+    // sit in its fine bucket. With no late entries, the run at now_ is
+    // popped straight from active_ (see runEnd_); otherwise it is
+    // merged into the FIFO. active_ is cleared at activation, so a
+    // popped run entry's slot stays valid until then.
     std::vector<Entry> active_;
     size_t activeHead_ = 0;
     std::vector<Entry> lateRun_;

@@ -23,6 +23,12 @@
  * captures such as unique_ptr). The simulation core is single-threaded
  * by design (one EventQueue drives one simulation).
  *
+ * Every move of a 64-byte event costs on the hot path, so the event
+ * core and the network/collective/system layers take callbacks as
+ * rvalue-reference sinks and build each event once; see "Callback
+ * ownership" in docs/eventcore.md for the rules (including the
+ * aliasing rule for callers) and the moves each path makes.
+ *
  * Threading contract
  * ------------------
  * CallbackPool keeps its free lists and counters in `thread_local`

@@ -195,7 +195,7 @@ AnalyticalNetwork::claimTxPort(NpuId src, int dim, TimeNs ser)
 
 void
 AnalyticalNetwork::simSend(NpuId src, NpuId dst, Bytes bytes, int dim,
-                           uint64_t tag, SendHandlers handlers)
+                           uint64_t tag, SendHandlers &&handlers)
 {
     ASTRA_ASSERT(bytes >= 0.0, "simSend: negative size");
     if (src == dst) {

@@ -37,7 +37,7 @@ class AnalyticalNetwork : public NetworkApi
                       bool serialize = true);
 
     void simSend(NpuId src, NpuId dst, Bytes bytes, int dim, uint64_t tag,
-                 SendHandlers handlers) override;
+                 SendHandlers &&handlers) override;
 
     /**
      * Fault hooks (docs/fault.md). The analytical model has no

@@ -26,7 +26,7 @@ PacketNetwork::PacketNetwork(EventQueue &eq, const Topology &topo,
 
 void
 PacketNetwork::simSend(NpuId src, NpuId dst, Bytes bytes, int dim,
-                       uint64_t tag, SendHandlers handlers)
+                       uint64_t tag, SendHandlers &&handlers)
 {
     if (src == dst) {
         deliverLoopback(src, tag, std::move(handlers));
@@ -69,7 +69,7 @@ void
 PacketNetwork::launchMessage(uint64_t msg_id,
                              const std::vector<LinkId> *path,
                              Bytes bytes, int packets,
-                             EventCallback on_injected)
+                             EventCallback &&on_injected)
 {
     // A first hop that is up is claimed for every packet now, in packet
     // order, and only packet 0's arrival is queued: it takes the next

@@ -55,7 +55,7 @@ class PacketNetwork : public NetworkApi
                   TimeNs message_overhead = 0.0);
 
     void simSend(NpuId src, NpuId dst, Bytes bytes, int dim, uint64_t tag,
-                 SendHandlers handlers) override;
+                 SendHandlers &&handlers) override;
 
     /**
      * Fault hooks (docs/fault.md). A degraded link serializes packets
@@ -147,7 +147,7 @@ class PacketNetwork : public NetworkApi
 
     void launchMessage(uint64_t msg_id, const std::vector<LinkId> *path,
                        Bytes bytes, int packets,
-                       EventCallback on_injected);
+                       EventCallback &&on_injected);
     /** Serialize one packet on link `lid` behind its FIFO (stats,
      *  trace and owner accounting); returns the transmit end. */
     TimeNs claimLink(LinkId lid, uint64_t msg_id, Bytes pkt_bytes);

@@ -96,7 +96,7 @@ FlowNetwork::markLinksDirty(const std::vector<LinkId> &path)
 
 void
 FlowNetwork::simSend(NpuId src, NpuId dst, Bytes bytes, int dim,
-                     uint64_t tag, SendHandlers handlers)
+                     uint64_t tag, SendHandlers &&handlers)
 {
     ASTRA_ASSERT(bytes >= 0.0, "simSend: negative size");
     if (src == dst) {

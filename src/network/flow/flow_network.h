@@ -79,7 +79,7 @@ class FlowNetwork : public NetworkApi
     FlowNetwork(EventQueue &eq, const Topology &topo);
 
     void simSend(NpuId src, NpuId dst, Bytes bytes, int dim, uint64_t tag,
-                 SendHandlers handlers) override;
+                 SendHandlers &&handlers) override;
 
     /**
      * Fault hooks (docs/fault.md). Degraded links simply fill with

@@ -20,7 +20,8 @@ NetworkApi::NetworkApi(EventQueue &eq, const Topology &topo)
 }
 
 void
-NetworkApi::simRecv(NpuId dst, NpuId src, uint64_t tag, EventCallback cb)
+NetworkApi::simRecv(NpuId dst, NpuId src, uint64_t tag,
+                    EventCallback &&cb)
 {
     PendingKey key{dst, src, tag};
     auto it = arrived_.find(key);
@@ -36,7 +37,7 @@ NetworkApi::simRecv(NpuId dst, NpuId src, uint64_t tag, EventCallback cb)
 }
 
 void
-NetworkApi::simSchedule(TimeNs delay, EventCallback cb)
+NetworkApi::simSchedule(TimeNs delay, EventCallback &&cb)
 {
     eq_.schedule(delay, std::move(cb));
 }
@@ -145,7 +146,7 @@ NetworkApi::danglingSummary(size_t max_items) const
 
 void
 NetworkApi::deliver(NpuId src, NpuId dst, uint64_t tag,
-                    EventCallback on_delivered)
+                    EventCallback &&on_delivered)
 {
     if (on_delivered)
         on_delivered();
@@ -166,7 +167,7 @@ NetworkApi::deliver(NpuId src, NpuId dst, uint64_t tag,
 
 void
 NetworkApi::deliverLoopback(NpuId src, uint64_t tag,
-                            SendHandlers handlers)
+                            SendHandlers &&handlers)
 {
     eq_.schedule(0.0, [this, src, tag,
                        handlers = std::move(handlers)]() mutable {
@@ -178,7 +179,7 @@ NetworkApi::deliverLoopback(NpuId src, uint64_t tag,
 
 void
 NetworkApi::scheduleDelivery(TimeNs at, NpuId src, NpuId dst,
-                             uint64_t tag, EventCallback on_delivered)
+                             uint64_t tag, EventCallback &&on_delivered)
 {
     if (tag == kNoTag) {
         eq_.scheduleAt(at, std::move(on_delivered));

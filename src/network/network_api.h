@@ -104,7 +104,7 @@ class NetworkApi
      * @param tag  message tag used by simRecv matching.
      */
     virtual void simSend(NpuId src, NpuId dst, Bytes bytes, int dim,
-                         uint64_t tag, SendHandlers handlers) = 0;
+                         uint64_t tag, SendHandlers &&handlers) = 0;
 
     /**
      * Post a receive at `dst` for a message from `src` with `tag`.
@@ -113,10 +113,10 @@ class NetworkApi
      * matching to the backend that actually sees the deliveries.
      */
     virtual void simRecv(NpuId dst, NpuId src, uint64_t tag,
-                         EventCallback cb);
+                         EventCallback &&cb);
 
     /** Schedule a callback after `delay` ns (Snippet 2 sim_schedule). */
-    void simSchedule(TimeNs delay, EventCallback cb);
+    void simSchedule(TimeNs delay, EventCallback &&cb);
 
     /**
      * Fault hooks (src/fault/): rescale or cut the capacity of the
@@ -213,12 +213,12 @@ class NetworkApi
     /** Implementations call this when a message reaches `dst`;
      *  it resolves simRecv matching and the onDelivered handler. */
     void deliver(NpuId src, NpuId dst, uint64_t tag,
-                 EventCallback on_delivered);
+                 EventCallback &&on_delivered);
 
     /** Complete a src == dst message: no network resources, both
      *  handlers fire after a zero-delay deferral (uniform callback
      *  ordering across backends). */
-    void deliverLoopback(NpuId src, uint64_t tag, SendHandlers handlers);
+    void deliverLoopback(NpuId src, uint64_t tag, SendHandlers &&handlers);
 
     /**
      * Schedule the delivery side of a message for time `at`. kNoTag
@@ -230,7 +230,7 @@ class NetworkApi
      * through deliver() for matching.
      */
     void scheduleDelivery(TimeNs at, NpuId src, NpuId dst, uint64_t tag,
-                          EventCallback on_delivered);
+                          EventCallback &&on_delivered);
 
     /** Dimension a message's payload is attributed to in stats():
      *  `dim` itself, or — for kAutoRoute — the first dimension the

@@ -43,7 +43,7 @@ Sys::stallCompute(TimeNs duration)
 }
 
 void
-Sys::issueCompute(Flops flops, Bytes tensor_bytes, EventCallback done)
+Sys::issueCompute(Flops flops, Bytes tensor_bytes, EventCallback &&done)
 {
     TimeNs duration =
         roofline_.computeTime(flops, tensor_bytes) * computeScale_;
@@ -63,7 +63,7 @@ Sys::issueCompute(Flops flops, Bytes tensor_bytes, EventCallback done)
 
 void
 Sys::issueMemory(MemLocation loc, MemOp op, Bytes bytes, bool fused,
-                 EventCallback done)
+                 EventCallback &&done)
 {
     TimeNs duration = mem_.accessTime(loc, op, bytes, fused);
     Activity activity = (loc == MemLocation::Local)
@@ -90,7 +90,7 @@ Sys::issueMemory(MemLocation loc, MemOp op, Bytes bytes, bool fused,
 
 void
 Sys::issueCollective(uint64_t key, CollectiveRequest req,
-                     EventCallback done)
+                     EventCallback &&done)
 {
     if (req.chunks <= 0)
         req.chunks = cfg_.collectiveChunks;
@@ -107,7 +107,7 @@ Sys::issueCollective(uint64_t key, CollectiveRequest req,
 }
 
 void
-Sys::issueSend(NpuId peer, Bytes bytes, uint64_t tag, EventCallback done)
+Sys::issueSend(NpuId peer, Bytes bytes, uint64_t tag, EventCallback &&done)
 {
     tracker_.beginActivity(Activity::Comm, eq().now());
     SendHandlers handlers;
@@ -122,7 +122,7 @@ Sys::issueSend(NpuId peer, Bytes bytes, uint64_t tag, EventCallback done)
 }
 
 void
-Sys::issueRecv(NpuId peer, uint64_t tag, EventCallback done)
+Sys::issueRecv(NpuId peer, uint64_t tag, EventCallback &&done)
 {
     tracker_.beginActivity(Activity::Comm, eq().now());
     coll_.network().simRecv(npu_, peer, tag,

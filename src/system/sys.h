@@ -49,25 +49,25 @@ class Sys
     NpuId npu() const { return npu_; }
 
     /** Run a roofline-timed operator on the NPU's compute unit. */
-    void issueCompute(Flops flops, Bytes tensor_bytes, EventCallback done);
+    void issueCompute(Flops flops, Bytes tensor_bytes, EventCallback &&done);
 
     /** Run a memory transfer through the Memory API (DMA queue). */
     void issueMemory(MemLocation loc, MemOp op, Bytes bytes, bool fused,
-                     EventCallback done);
+                     EventCallback &&done);
 
     /**
      * Join a collective. `req.chunks == 0` / default policy fields
      * are filled from the SysConfig.
      */
     void issueCollective(uint64_t key, CollectiveRequest req,
-                         EventCallback done);
+                         EventCallback &&done);
 
     /** Point-to-point send; completes when fully injected. */
     void issueSend(NpuId peer, Bytes bytes, uint64_t tag,
-                   EventCallback done);
+                   EventCallback &&done);
 
     /** Point-to-point receive; completes at message delivery. */
-    void issueRecv(NpuId peer, uint64_t tag, EventCallback done);
+    void issueRecv(NpuId peer, uint64_t tag, EventCallback &&done);
 
     /** Busy-interval integration; finish() before reading. */
     BreakdownTracker &tracker() { return tracker_; }

@@ -77,7 +77,7 @@ class ExecutionEngine
      * observe per-job finish times while co-executing many engines on
      * one event queue.
      */
-    void setOnFinished(EventCallback cb) { onFinished_ = std::move(cb); }
+    void setOnFinished(EventCallback &&cb) { onFinished_ = std::move(cb); }
 
     /** Number of completed ET nodes. */
     size_t completedNodes() const { return completed_; }

@@ -1,8 +1,12 @@
 /** @file Unit tests for the discrete-event simulation core. */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "event/event_queue.h"
 
 namespace astra {
@@ -159,6 +163,71 @@ TEST(EventQueue, ResetQueueReplaysInIdenticalOrder)
         return order;
     };
     EXPECT_EQ(trace(false), trace(true));
+}
+
+TEST(EventQueue, ReservedSuccessorDueNowLeadsTheEqualTimeRun)
+{
+    // The equal-time run at t = 100 is popped straight from the active
+    // tick; a reserved successor due now must still precede the rest
+    // of the run and everything scheduled at now, exactly where eager
+    // scheduling (seq first + 1) would have put it.
+    EventQueue eq;
+    std::vector<int> order;
+    const uint64_t first = eq.reserveSeqs(2);
+    eq.scheduleReserved(100.0, first, [&] {
+        order.push_back(0);
+        eq.scheduleAt(eq.now(), [&] { order.push_back(4); });
+        eq.scheduleReserved(eq.now(), first + 1,
+                            [&] { order.push_back(1); });
+    });
+    eq.scheduleAt(100.0, [&] { order.push_back(2); });
+    eq.scheduleAt(100.0, [&] { order.push_back(3); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+/** The FatalError message scheduling `when` raises, or "" if none. */
+std::string
+rejection(EventQueue &eq, TimeNs when, bool reserved = false)
+{
+    try {
+        if (reserved)
+            eq.scheduleReserved(when, eq.reserveSeqs(1), [] {});
+        else
+            eq.scheduleAt(when, [] {});
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(EventQueue, RejectsTimesBeyondTheCalendarRange)
+{
+    // Past ~5.9e20 ns the tick cast overflows int64 (undefined
+    // behaviour), so such times, infinity and NaN are user errors that
+    // name the time and the limit, not a panic about the window.
+    EventQueue eq;
+    const std::string limit = "2.95148e+20";
+    std::string msg = rejection(eq, 1e21);
+    EXPECT_NE(msg.find("1e+21"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(limit), std::string::npos) << msg;
+    msg = rejection(eq, std::numeric_limits<double>::infinity());
+    EXPECT_NE(msg.find("inf"), std::string::npos) << msg;
+    msg = rejection(eq, std::nan(""));
+    EXPECT_NE(msg.find("nan"), std::string::npos) << msg;
+    EXPECT_NE(rejection(eq, EventQueue::kMaxTimeNs), "");
+    EXPECT_NE(rejection(eq, 1e25, true), "");
+    EXPECT_THROW(eq.schedule(EventQueue::kMaxTimeNs, [] {}), FatalError);
+    EXPECT_THROW(eq.schedule(std::nan(""), [] {}), FatalError);
+    EXPECT_TRUE(eq.empty());
+
+    // The largest time below the limit is still an ordinary event.
+    bool fired = false;
+    const TimeNs last = std::nextafter(EventQueue::kMaxTimeNs, 0.0);
+    eq.scheduleAt(last, [&] { fired = true; });
+    eq.run();
+    EXPECT_TRUE(fired);
+    EXPECT_DOUBLE_EQ(eq.now(), last);
 }
 
 } // namespace

@@ -1,6 +1,8 @@
 /** @file End-to-end tests of the Simulator facade. */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "astra/simulator.h"
 #include "common/logging.h"
 #include "topology/presets.h"
@@ -129,6 +131,29 @@ TEST(Simulator, RunIsSingleShot)
         buildSingleCollective(topo, CollectiveType::AllGather, 1e6);
     sim.run(wl);
     EXPECT_THROW(sim.run(wl), FatalError);
+}
+
+TEST(Simulator, ComputeBeyondTheCalendarRangeIsAUserError)
+{
+    // 1e30 flops at 100 TFLOP/s end 1e25 ns from now: past the event
+    // calendar's range, so a FatalError naming the time, instead of
+    // undefined behaviour in the tick arithmetic and a panic.
+    Topology topo({{BlockType::Ring, 2, 100.0, 100.0}});
+    SimulatorConfig cfg;
+    cfg.sys.compute.peakTflops = 100.0;
+    Simulator sim(topo, cfg);
+    Workload wl = workloadFromJson(R"({
+        "schema": "astra-sim-et-v2", "npus": 2, "graphs": [
+            {"npu": 0, "nodes": [{"id": 0, "type": "compute",
+                                  "flops": 1e30, "tensor_bytes": 0}]},
+            {"npu": 1, "nodes": []}]})");
+    try {
+        sim.run(wl);
+        FAIL() << "expected a FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("1e+25"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Simulator, PacketBackendRunsSameWorkload)

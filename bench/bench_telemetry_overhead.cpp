@@ -282,8 +282,16 @@ main(int argc, char **argv)
                 double(scale.peakRssBytes) / (1024.0 * 1024.0),
                 static_cast<unsigned long long>(scale.heartbeats));
 
-    // Contracts (docs/observability.md), enforced here so a drift
-    // fails bench.sh --check loudly.
+    if (json_path != nullptr) {
+        if (!writeJson(json_path, off, on, overhead, scale))
+            return 1;
+        std::printf("wrote %s\n", json_path);
+    }
+
+    // Contracts (docs/observability.md), checked after the JSON is
+    // written: a drift or a blown budget fails the bench, and
+    // bench.sh --check still compares every deterministic key before
+    // it reports it.
     if (on.simTimeNs != off.simTimeNs || on.events != off.events) {
         std::printf("\nFAIL: monitored run diverged from unmonitored "
                     "run (%.3f/%llu vs %.3f/%llu)\n",
@@ -302,12 +310,6 @@ main(int argc, char **argv)
     if (scale.peakFootprintBytes == 0 || scale.bytesPerFlow <= 0.0) {
         std::printf("\nFAIL: scale point reported no footprint\n");
         return 1;
-    }
-
-    if (json_path != nullptr) {
-        if (!writeJson(json_path, off, on, overhead, scale))
-            return 1;
-        std::printf("wrote %s\n", json_path);
     }
     return 0;
 }

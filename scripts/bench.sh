@@ -44,6 +44,13 @@
 # before merging perf-sensitive changes; regenerate the committed
 # files when a drift is intentional.
 #
+# A bench that fails its own contracts (bit-identity, overhead
+# budgets, ...) still writes its JSON first, and this script keeps
+# going: every bench runs, bench_check.py compares every file, and the
+# script exits non-zero at the end naming each bench (and the check)
+# that failed. One noisy overhead read therefore cannot hide a drift
+# in another bench's exact keys.
+#
 # The committed wall numbers describe one specific machine. On any
 # other host, set WALL_BASELINE=<file> so --check gates wall times
 # against a per-host ledger instead: the first --check on a host (or
@@ -113,19 +120,26 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
                bench_fault_resilience bench_trace_overhead \
                bench_resilience_study bench_telemetry_overhead
 
+# Benches (and the check) that failed; reported at the end.
+FAILED=()
+
 # run_bench BINARY OUT: repeat the bench BENCH_REPEAT times and merge
-# with per-scenario min wall time (see header comment).
+# with per-scenario min wall time (see header comment). A failing
+# repeat marks the bench failed but does not stop the run.
 run_bench() {
     local binary="$1" out="$2"
-    local tmp_files=()
+    local tmp_files=() ok=1
     for ((r = 1; r <= BENCH_REPEAT; ++r)); do
         local tmp="$out.run$r"
-        "./$BUILD_DIR/$binary" --json "$tmp"
+        "./$BUILD_DIR/$binary" --json "$tmp" || ok=0
         tmp_files+=("$tmp")
         echo
     done
-    python3 scripts/bench_min.py "$out" "${tmp_files[@]}"
+    python3 scripts/bench_min.py "$out" "${tmp_files[@]}" || ok=0
     rm -f "${tmp_files[@]}"
+    if [[ "$ok" == 0 ]]; then
+        FAILED+=("$binary")
+    fi
 }
 
 run_bench bench_eventcore "$OUT"
@@ -160,10 +174,17 @@ if [[ "$CHECK" == 1 ]]; then
         "$COMMITTED_FAULT" "$FAULT_OUT" \
         "$COMMITTED_TRACE" "$TRACE_OUT" \
         "$COMMITTED_RESIL" "$RESIL_OUT" \
-        "$COMMITTED_OBS" "$OBS_OUT"
-    echo "bench check passed (fresh results in $BUILD_DIR/bench-check)"
+        "$COMMITTED_OBS" "$OBS_OUT" || FAILED+=("bench_check.py")
 else
     echo "results written to $OUT, $SWEEP_OUT, $FLOW_OUT," \
          "$CLUSTER_OUT, $FAULT_OUT, $TRACE_OUT, $RESIL_OUT," \
          "and $OBS_OUT"
+fi
+
+if ((${#FAILED[@]} > 0)); then
+    echo "bench.sh: FAILED: ${FAILED[*]}" >&2
+    exit 1
+fi
+if [[ "$CHECK" == 1 ]]; then
+    echo "bench check passed (fresh results in $BUILD_DIR/bench-check)"
 fi

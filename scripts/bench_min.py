@@ -2,6 +2,7 @@
 """Merge repeated bench runs into one JSON, taking the minimum wall time.
 
 Usage: bench_min.py OUT RUN1.json [RUN2.json ...]
+       bench_min.py --self-test
 
 Wall-clock samples (`wall_seconds`, `seconds`) are noisy: a single run
 can be inflated by scheduler jitter, turbo states, or page-cache
@@ -10,20 +11,30 @@ times (default 3) and this script keeps, per scenario, the *minimum*
 wall sample — the run closest to the machine's true capability — which
 shrinks the noise floor the `--check` regression gate has to tolerate.
 
-Derived rates (`events_per_sec`, `speedup`, ...) cannot be recomputed
-generically, so they are kept self-consistent at the closest scope
-available: a rate sitting next to a wall key follows that wall key's
-chosen run; a rate without a wall sibling (e.g. a top-level speedup
-over nested per-thread timings) is taken wholesale from the run with
-the lowest *total* wall time, and may therefore differ slightly from
-the ratio of the independently min-merged numbers around it (the
---check gate ignores rate keys either way).
+Derived rates (`events_per_sec`, `speedup`, ...) are kept consistent
+with the numbers they sit next to:
+
+  - a rate sitting next to a wall key follows that wall key's chosen
+    run (e.g. `configs_per_sec` beside `seconds`);
+  - a rate without a wall sibling is a ratio of merged wall keys
+    elsewhere in its object, declared in RATIOS, and is recomputed
+    from those merged values (e.g. BENCH_sweep.json's top-level
+    `speedup_8_over_1` = `results.threads_1.seconds` /
+    `results.threads_8.seconds`). An undeclared one is an error.
+
+The --check gate ignores rate keys either way; this keeps a committed
+rate checkable against the numbers beside it.
 
 Deterministic metrics (sim times, event counts, solver counters) must
 be identical across repeats; any disagreement is an error, because it
 means the simulation itself is nondeterministic.
+
+--self-test merges synthetic runs, checks the merged values, and
+checks that every bad input is rejected; it exits 0 only if all cases
+behave.
 """
 import json
+import os
 import sys
 
 # peak_rss_bytes rides along: it is process/allocator truth, varies
@@ -32,20 +43,33 @@ WALL_KEYS = {"wall_seconds", "seconds", "trace_write_seconds",
              "peak_rss_bytes"}
 RATE_KEYS = {"events_per_sec", "configs_per_sec", "speedup",
              "speedup_8_over_1", "overhead_frac"}
+# Rates without a wall sibling: key -> (numerator path, denominator
+# path, decimals), paths relative to the object holding the rate and
+# decimals as the bench prints them.
+RATIOS = {
+    # bench_sweep_throughput: 1-thread over 8-thread seconds.
+    "speedup_8_over_1": ("results.threads_1.seconds",
+                         "results.threads_8.seconds", 2),
+    # bench_flow_vs_packet: packet wall over flow wall per scenario.
+    "speedup": ("packet.wall_seconds", "flow.wall_seconds", 1),
+}
 
 
-def total_wall(node):
-    if isinstance(node, dict):
-        return sum(total_wall(v) for k, v in node.items()
-                   if k in WALL_KEYS or isinstance(v, dict))
-    return node if isinstance(node, (int, float)) else 0.0
+def lookup(node, dotted, where):
+    for part in dotted.split("."):
+        if not isinstance(node, dict) or part not in node:
+            raise SystemExit(
+                f"bench_min: {where}: ratio operand {dotted} missing")
+        node = node[part]
+    return node
 
 
-def merge(runs, best_total, path=""):
+def merge(runs, path=""):
     first = runs[0]
     if isinstance(first, dict):
         has_wall = any(k in WALL_KEYS for k in first)
         out = {}
+        ratios = []
         for key in first:
             sub = f"{path}.{key}" if path else key
             for r in runs[1:]:
@@ -60,14 +84,22 @@ def merge(runs, best_total, path=""):
                 for rk in RATE_KEYS & set(first):
                     out[rk] = runs[best][rk]
             elif key in RATE_KEYS:
-                if not has_wall:
-                    # No wall sibling to anchor to: take the value
-                    # from the globally fastest run (see docstring).
-                    out[key] = runs[best_total][key]
-                else:
+                if has_wall:
                     out.setdefault(key, first[key])
+                elif key in RATIOS:
+                    out[key] = None  # filled once the operands merged.
+                    ratios.append((key, sub))
+                else:
+                    raise SystemExit(
+                        f"bench_min: {sub}: rate has no wall sibling "
+                        "and no RATIOS entry")
             else:
-                out[key] = merge([r[key] for r in runs], best_total, sub)
+                out[key] = merge([r[key] for r in runs], sub)
+        for key, sub in ratios:
+            num_path, den_path, decimals = RATIOS[key]
+            num = lookup(out, num_path, sub)
+            den = lookup(out, den_path, sub)
+            out[key] = round(num / den, decimals) if den > 0 else 0.0
         return out
     # Non-dict leaves must agree exactly across repeats.
     for r in runs[1:]:
@@ -79,7 +111,87 @@ def merge(runs, best_total, path=""):
     return first
 
 
+def self_test():
+    """Merge synthetic runs through the command line; every good case
+    must produce the expected file and every bad one must fail."""
+    import subprocess
+    import tempfile
+
+    def sweep(s1, s8, speedup, configs=64):
+        return {"configs": configs, "results": {
+            "threads_1": {"seconds": s1, "configs_per_sec": 64 / s1},
+            "threads_8": {"seconds": s8, "configs_per_sec": 64 / s8}},
+            "speedup_8_over_1": speedup}
+
+    def flow(flow_wall, packet_wall):
+        return {"scenarios": {"incast": {
+            "flow": {"wall_seconds": flow_wall, "events": 8},
+            "packet": {"wall_seconds": packet_wall, "events": 99},
+            "speedup": round(packet_wall / flow_wall, 1)}}}
+
+    # The fastest total run (9.6 + 3.0) is not where either per-thread
+    # minimum comes from, so a rate copied from it would read 3.2.
+    sweep_runs = [sweep(9.5, 3.1, 3.06), sweep(9.6, 3.0, 3.2),
+                  sweep(9.9, 3.3, 3.0)]
+    cases = [
+        # (name, runs, expected merged values or None for failure)
+        ("sweep speedup is the merged ratio", sweep_runs,
+         {"speedup_8_over_1": round(9.5 / 3.0, 2),
+          "results.threads_1.seconds": 9.5,
+          "results.threads_1.configs_per_sec": 64 / 9.5,
+          "results.threads_8.seconds": 3.0}),
+        ("flow speedup is the merged ratio",
+         [flow(0.002, 0.05), flow(0.001, 0.06)],
+         {"scenarios.incast.speedup": 50.0,
+          "scenarios.incast.flow.wall_seconds": 0.001,
+          "scenarios.incast.packet.wall_seconds": 0.05}),
+        ("deterministic value differs",
+         [sweep(9.5, 3.1, 3.06), sweep(9.5, 3.1, 3.06, configs=63)],
+         None),
+        ("key missing from a repeat",
+         [sweep(9.5, 3.1, 3.06), {"configs": 64}], None),
+        ("undeclared rate without wall sibling",
+         [{"results": {"seconds": 1.0}, "overhead_frac": 0.1}] * 2,
+         None),
+        ("ratio operand missing",
+         [{"results": {"threads_1": {"seconds": 1.0}},
+           "speedup_8_over_1": 1.0}] * 2, None),
+    ]
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (name, runs, expected) in enumerate(cases):
+            paths = []
+            for j, run in enumerate(runs):
+                p = os.path.join(tmp, f"case{i}.run{j}.json")
+                with open(p, "w") as f:
+                    json.dump(run, f)
+                paths.append(p)
+            out = os.path.join(tmp, f"case{i}.json")
+            rc = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), out, *paths],
+                capture_output=True, text=True).returncode
+            if expected is None:
+                ok = rc != 0
+            else:
+                ok = rc == 0
+                if ok:
+                    with open(out) as f:
+                        merged = json.load(f)
+                    ok = all(lookup(merged, k, name) == v
+                             for k, v in expected.items())
+            print(f"  self-test: {name}: "
+                  f"{'ok' if ok else 'UNEXPECTED rc=' + str(rc)}")
+            failures += 0 if ok else 1
+    if failures:
+        raise SystemExit(
+            f"bench_min: FAIL: self-test: {failures} case(s) misbehaved")
+    print(f"bench_min: OK: self-test passed ({len(cases)} cases)")
+
+
 def main():
+    if sys.argv[1:] == ["--self-test"]:
+        self_test()
+        return
     if len(sys.argv) < 3:
         raise SystemExit("usage: bench_min.py OUT RUN1.json [RUN2...]")
     out_path, run_paths = sys.argv[1], sys.argv[2:]
@@ -87,9 +199,7 @@ def main():
     for p in run_paths:
         with open(p) as f:
             runs.append(json.load(f))
-    totals = [total_wall(r) for r in runs]
-    best_total = min(range(len(totals)), key=lambda i: totals[i])
-    merged = merge(runs, best_total)
+    merged = merge(runs)
     with open(out_path, "w") as f:
         json.dump(merged, f, indent=2)
         f.write("\n")

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <utility>
 
 #include "common/logging.h"
@@ -172,8 +173,9 @@ CollectiveEngine::start(Instance &inst)
     }
 
     // Precompute each phase's rank-space multiplier (the radix weight
-    // of its group factor within `groups`), so the per-message path
-    // turns ranks into phase positions with one div/mod.
+    // of its group factor within `groups`): advance() turns a rank
+    // into its phase position with it once per phase entry, and
+    // sendStep() turns a position delta into a rank delta.
     inst.chunkPhaseMult.resize(inst.chunkPhases.size());
     for (size_t c = 0; c < inst.chunkPhases.size(); ++c) {
         const std::vector<Phase> &phases = inst.chunkPhases[c];
@@ -267,7 +269,9 @@ CollectiveEngine::expectedRecvs(const Phase &ph, int pos) const
       case PhaseAlgorithm::Direct:
         return k - 1;
       case PhaseAlgorithm::HalvingDoubling:
-        return phaseSteps(ph);
+        // log2(k) exchange steps (k is a power of two), as
+        // phaseSteps() counts them.
+        return std::bit_width(static_cast<unsigned>(k)) - 1;
       case PhaseAlgorithm::TreeReduce:
         return treeChildren(pos, k);
       case PhaseAlgorithm::TreeBroadcast:
@@ -293,6 +297,12 @@ CollectiveEngine::totalSends(const Phase &ph, int pos) const
 void
 CollectiveEngine::advance(Instance &inst, int rank, int chunk)
 {
+    // `pos` rides in the padding after `started` (LP64), so caching it
+    // costs no footprint.
+    static_assert(sizeof(void *) != 8 || sizeof(ChunkState) == 56,
+                  "ChunkState outgrew 56 bytes — every collectives "
+                  "footprint (telemetry.footprint.collectives_mb) "
+                  "moves");
     MemberState &member = inst.members[static_cast<size_t>(rank)];
     ChunkState &st = member.chunks[static_cast<size_t>(chunk)];
     st.started = true;
@@ -321,6 +331,12 @@ CollectiveEngine::advance(Instance &inst, int rank, int chunk)
         }
         return;
     }
+    // The only division on the collective path: once per (member,
+    // chunk, phase), not per message.
+    const Phase &ph = phases[st.phase];
+    st.pos = (rank / inst.chunkPhaseMult[static_cast<size_t>(chunk)]
+                                         [st.phase]) %
+             ph.group.size;
     st.sent = 0;
     st.recvd = st.early[st.phase];
     if (tracer_ && tracer_->full())
@@ -335,17 +351,15 @@ CollectiveEngine::pump(Instance &inst, int rank, int chunk)
     ChunkState &st = member.chunks[static_cast<size_t>(chunk)];
     const Phase &ph =
         inst.chunkPhases[static_cast<size_t>(chunk)][st.phase];
-    int mult =
-        inst.chunkPhaseMult[static_cast<size_t>(chunk)][st.phase];
 
-    int pos = (rank / mult) % ph.group.size;
+    int pos = st.pos;
     int sends = totalSends(ph, pos);
     switch (ph.algorithm) {
       case PhaseAlgorithm::Ring:
       case PhaseAlgorithm::HalvingDoubling:
         // Step s may go out once step s-1's message has arrived.
         while (st.sent < sends && st.sent <= st.recvd) {
-            sendStep(inst, rank, chunk, ph, mult, st.sent);
+            sendStep(inst, rank, chunk, ph, pos, st.sent);
             ++st.sent;
         }
         break;
@@ -353,7 +367,7 @@ CollectiveEngine::pump(Instance &inst, int rank, int chunk)
         // One-shot: fire all peer messages; the transmit port
         // serializes them at the dimension's aggregate bandwidth.
         while (st.sent < sends) {
-            sendStep(inst, rank, chunk, ph, mult, st.sent);
+            sendStep(inst, rank, chunk, ph, pos, st.sent);
             ++st.sent;
         }
         break;
@@ -362,7 +376,7 @@ CollectiveEngine::pump(Instance &inst, int rank, int chunk)
         // Forward only once the whole subtree/parent input arrived.
         if (st.recvd == expectedRecvs(ph, pos)) {
             while (st.sent < sends) {
-                sendStep(inst, rank, chunk, ph, mult, st.sent);
+                sendStep(inst, rank, chunk, ph, pos, st.sent);
                 ++st.sent;
             }
         }
@@ -385,20 +399,25 @@ CollectiveEngine::pump(Instance &inst, int rank, int chunk)
 
 void
 CollectiveEngine::sendStep(Instance &inst, int rank, int chunk,
-                           const Phase &ph, int mult, int step)
+                           const Phase &ph, int pos, int step)
 {
     int k = ph.group.size;
-    int pos = (rank / mult) % k;
     int peer_pos = pos;
     Bytes bytes = 0.0;
 
+    // Ring/Direct peers wrap by one subtraction: pos < k and
+    // step < k - 1, so pos + step + 1 < 2k.
     switch (ph.algorithm) {
       case PhaseAlgorithm::Ring:
-        peer_pos = (pos + 1) % k;
+        peer_pos = pos + 1;
+        if (peer_pos >= k)
+            peer_pos -= k;
         bytes = ph.tensorBytes / double(k);
         break;
       case PhaseAlgorithm::Direct:
-        peer_pos = (pos + step + 1) % k;
+        peer_pos = pos + step + 1;
+        if (peer_pos >= k)
+            peer_pos -= k;
         bytes = ph.tensorBytes / double(k);
         break;
       case PhaseAlgorithm::HalvingDoubling:
@@ -425,15 +444,17 @@ CollectiveEngine::sendStep(Instance &inst, int rank, int chunk,
         break;
     }
 
+    size_t phase_idx = inst.members[static_cast<size_t>(rank)]
+                           .chunks[static_cast<size_t>(chunk)]
+                           .phase;
+    int mult =
+        inst.chunkPhaseMult[static_cast<size_t>(chunk)][phase_idx];
     int dst_rank = rank + (peer_pos - pos) * mult;
     NpuId src = inst.npuOfRank[static_cast<size_t>(rank)];
     NpuId dst = inst.npuOfRank[static_cast<size_t>(dst_rank)];
 
     sent_[static_cast<size_t>(ph.group.dim)] += bytes;
     uint64_t inst_id = inst.id;
-    size_t phase_idx = inst.members[static_cast<size_t>(rank)]
-                           .chunks[static_cast<size_t>(chunk)]
-                           .phase;
     SendHandlers handlers;
     // [this, 2 ids, 2 ints]: fits InlineEvent's inline buffer, so the
     // per-message delivery closure never allocates; capturing the

@@ -118,6 +118,10 @@ class CollectiveEngine
         bool started = false; //!< member entered this chunk (advance()
                               //!< ran); messages arriving earlier are
                               //!< held in `early`.
+        /** Member's position in the current phase's group, set by
+         *  advance() on phase entry. Sits in the padding after
+         *  `started`, so the struct stays 56 bytes on LP64. */
+        int pos = 0;
         size_t phase = 0; //!< index into the chunk's phase list.
         int sent = 0;     //!< algorithm steps sent in current phase.
         int recvd = 0;    //!< messages received in current phase.
@@ -152,9 +156,10 @@ class CollectiveEngine
         std::vector<std::vector<Phase>> chunkPhases;
         /** chunkPhaseMult[c][p]: rank-space multiplier of chunk c,
          *  phase p's group factor (product of the sizes of the group
-         *  factors before it in `groups`), so a member's position in
-         *  the phase group is `(rank / mult) % group.size` — no
-         *  coordinate arithmetic on the per-message path. */
+         *  factors before it in `groups`). A member's position in the
+         *  phase group is `(rank / mult) % group.size`, computed once
+         *  on phase entry (ChunkState::pos); a peer `delta` positions
+         *  away has rank `rank + delta * mult`. */
         std::vector<std::vector<int>> chunkPhaseMult;
         /** Dense member state, indexed by group-local rank. */
         std::vector<MemberState> members;
@@ -202,13 +207,15 @@ class CollectiveEngine
     void start(Instance &inst);
     // The per-message state machine runs entirely in rank space: the
     // member's dense rank is computed once per external event and
-    // passed through; peers are rank deltas resolved via npuOfRank.
+    // passed through; its phase position is computed once per phase
+    // entry (advance); peers are rank deltas resolved via npuOfRank.
+    // Nothing below advance() divides.
     void advance(Instance &inst, int rank, int chunk);
     void pump(Instance &inst, int rank, int chunk);
     void onMessage(uint64_t inst_id, int rank, int chunk,
                    size_t phase_idx);
     void sendStep(Instance &inst, int rank, int chunk, const Phase &ph,
-                  int mult, int step);
+                  int pos, int step);
     /** Per-member counts; tree algorithms depend on the member's
      *  position in the group (root / internal / leaf). */
     int expectedRecvs(const Phase &ph, int pos) const;

@@ -203,23 +203,6 @@ NetworkApi::accountDim(NpuId src, NpuId dst, int dim) const
     return 0;
 }
 
-void
-NetworkApi::account(int dim, Bytes bytes)
-{
-    ++stats_.messages;
-    if (dim >= 0 && dim < topo_.numDims())
-        stats_.bytesPerDim[static_cast<size_t>(dim)] += bytes;
-}
-
-void
-NetworkApi::accountBusy(int dim, TimeNs delta, TimeNs link_total)
-{
-    if (dim >= 0 && dim < topo_.numDims())
-        stats_.busyTimePerDim[static_cast<size_t>(dim)] += delta;
-    if (link_total > stats_.maxLinkBusyNs)
-        stats_.maxLinkBusyNs = link_total;
-}
-
 const char *
 backendName(NetworkBackendKind kind)
 {

@@ -237,8 +237,15 @@ class NetworkApi
      *  dimension-ordered path crosses. */
     int accountDim(NpuId src, NpuId dst, int dim) const;
 
-    /** Record payload accounting for stats(). */
-    void account(int dim, Bytes bytes);
+    /** Record payload accounting for stats(). Inline: every backend
+     *  calls it once per message. */
+    void
+    account(int dim, Bytes bytes)
+    {
+        ++stats_.messages;
+        if (dim >= 0 && dim < topo_.numDims())
+            stats_.bytesPerDim[static_cast<size_t>(dim)] += bytes;
+    }
 
     /**
      * Record `delta` ns of transmit-busy time on a link of dimension
@@ -246,7 +253,14 @@ class NetworkApi
      * caller keeps the per-link counter; passing the new total lets
      * the max-link tracker update in O(1) per call).
      */
-    void accountBusy(int dim, TimeNs delta, TimeNs link_total);
+    void
+    accountBusy(int dim, TimeNs delta, TimeNs link_total)
+    {
+        if (dim >= 0 && dim < topo_.numDims())
+            stats_.busyTimePerDim[static_cast<size_t>(dim)] += delta;
+        if (link_total > stats_.maxLinkBusyNs)
+            stats_.maxLinkBusyNs = link_total;
+    }
 
     EventQueue &eq_;
     const Topology &topo_;

@@ -1,6 +1,5 @@
 #include "topology/topology.h"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "common/logging.h"
@@ -44,14 +43,29 @@ Topology::Topology(std::vector<Dimension> dims) : dims_(std::move(dims))
         stride_[d] = npus_;
         npus_ *= dims_[d].size;
     }
+    // Mixed-radix digits of every id, dimension 0 fastest: the table
+    // turns coordInDim() into a load instead of a div/mod pair.
+    coords_.resize(static_cast<size_t>(npus_) * dims_.size());
+    for (int id = 0; id < npus_; ++id) {
+        int rest = id;
+        for (size_t d = 0; d < dims_.size(); ++d) {
+            coords_[static_cast<size_t>(id) * dims_.size() + d] =
+                rest % dims_[d].size;
+            rest /= dims_[d].size;
+        }
+    }
 }
 
-const Dimension &
-Topology::dim(int d) const
+void
+Topology::badNpu(NpuId id) const
 {
-    ASTRA_ASSERT(d >= 0 && d < numDims(), "dimension index %d out of range",
-                 d);
-    return dims_[static_cast<size_t>(d)];
+    panic("NPU id %d out of range", id);
+}
+
+void
+Topology::badDim(int d) const
+{
+    panic("dimension index %d out of range", d);
 }
 
 std::vector<int>
@@ -90,14 +104,6 @@ Topology::strideOf(int d) const
     return stride_[static_cast<size_t>(d)];
 }
 
-int
-Topology::coordInDim(NpuId id, int d) const
-{
-    ASTRA_ASSERT(id >= 0 && id < npus_, "NPU id %d out of range", id);
-    ASTRA_ASSERT(d >= 0 && d < numDims(), "dim %d out of range", d);
-    return (id / stride_[d]) % dims_[d].size;
-}
-
 std::vector<NpuId>
 Topology::groupInDim(NpuId id, int d) const
 {
@@ -117,25 +123,6 @@ Topology::peerInDim(NpuId id, int d, int offset) const
     int coord = coordInDim(id, d);
     int peer_coord = ((coord + offset) % k + k) % k;
     return id + (peer_coord - coord) * stride_[d];
-}
-
-int
-Topology::hopsInDim(int coord_a, int coord_b, int d) const
-{
-    if (coord_a == coord_b)
-        return 0;
-    switch (dim(d).type) {
-      case BlockType::Ring: {
-        int k = dim(d).size;
-        int fwd = ((coord_b - coord_a) % k + k) % k;
-        return std::min(fwd, k - fwd);
-      }
-      case BlockType::FullyConnected:
-        return 1;
-      case BlockType::Switch:
-        return 2;
-    }
-    return 0;
 }
 
 int

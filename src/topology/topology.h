@@ -13,6 +13,7 @@
 #ifndef ASTRA_TOPOLOGY_TOPOLOGY_H_
 #define ASTRA_TOPOLOGY_TOPOLOGY_H_
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -78,7 +79,14 @@ class Topology
     explicit Topology(std::vector<Dimension> dims);
 
     int numDims() const { return static_cast<int>(dims_.size()); }
-    const Dimension &dim(int d) const;
+
+    const Dimension &
+    dim(int d) const
+    {
+        if (static_cast<unsigned>(d) >= dims_.size())
+            badDim(d);
+        return dims_[static_cast<size_t>(d)];
+    }
     const std::vector<Dimension> &dims() const { return dims_; }
 
     /** Total number of NPUs (product of dimension sizes). */
@@ -90,8 +98,18 @@ class Topology
     /** Inverse of coordsOf(). */
     NpuId idOf(const std::vector<int> &coords) const;
 
-    /** Coordinate of `id` within dimension `d`. */
-    int coordInDim(NpuId id, int d) const;
+    /** Coordinate of `id` within dimension `d`: one load from the
+     *  coordinate table built by the constructor. */
+    int
+    coordInDim(NpuId id, int d) const
+    {
+        if (static_cast<unsigned>(id) >= static_cast<unsigned>(npus_))
+            badNpu(id);
+        if (static_cast<unsigned>(d) >= dims_.size())
+            badDim(d);
+        return coords_[static_cast<size_t>(id) * dims_.size() +
+                       static_cast<size_t>(d)];
+    }
 
     /** NPU-id delta corresponding to one step along dimension `d`. */
     int strideOf(int d) const;
@@ -111,8 +129,30 @@ class Topology
      * Hop count between two NPUs in dimension `d` under the block's
      * native routing: Ring = minimal ring distance, FullyConnected = 1,
      * Switch = 2 (NPU-switch-NPU). Returns 0 for the same coordinate.
+     * Both coordinates must lie in [0, dim(d).size).
      */
-    int hopsInDim(int coord_a, int coord_b, int d) const;
+    int
+    hopsInDim(int coord_a, int coord_b, int d) const
+    {
+        if (coord_a == coord_b)
+            return 0;
+        const Dimension &block = dim(d);
+        switch (block.type) {
+          case BlockType::Ring: {
+            // Both coordinates lie in [0, k), so one conditional add
+            // gives the forward distance.
+            int fwd = coord_b - coord_a;
+            if (fwd < 0)
+                fwd += block.size;
+            return std::min(fwd, block.size - fwd);
+          }
+          case BlockType::FullyConnected:
+            return 1;
+          case BlockType::Switch:
+            return 2;
+        }
+        return 0;
+    }
 
     /**
      * Total hop count of dimension-ordered routing between two NPUs
@@ -145,8 +185,15 @@ class Topology
     GBps totalBandwidthPerNpu() const;
 
   private:
+    /** panic() with the out-of-range NPU id or dimension (kept out of
+     *  line so the inline lookups stay small). */
+    [[noreturn]] void badNpu(NpuId id) const;
+    [[noreturn]] void badDim(int d) const;
+
     std::vector<Dimension> dims_;
     std::vector<int> stride_; //!< stride_[d]: id delta per unit of dim d.
+    /** coords_[id * numDims() + d]: coordinate of `id` in dim `d`. */
+    std::vector<int> coords_;
     int npus_ = 1;
 };
 

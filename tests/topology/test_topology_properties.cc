@@ -1,10 +1,12 @@
 /**
  * @file
  * Property tests over random topologies: coordinate bijectivity,
- * group-factor tiling, hop-count symmetry.
+ * group-factor tiling, hop-count symmetry, and every per-NPU query
+ * against its mixed-radix / modular definition.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/rng.h"
@@ -139,6 +141,169 @@ TEST(TopologyProperty, PeerWalksAreCyclic)
             EXPECT_EQ(cur, id);
         }
     }
+}
+
+/** Mixed-radix digits of `id` by repeated division (dim 0 fastest),
+ *  independent of Topology's own tables. */
+std::vector<int>
+digitsOf(const std::vector<int> &sizes, int id)
+{
+    std::vector<int> digits;
+    for (int k : sizes) {
+        digits.push_back(id % k);
+        id /= k;
+    }
+    return digits;
+}
+
+int
+idOfDigits(const std::vector<int> &sizes, const std::vector<int> &digits)
+{
+    int id = 0;
+    for (size_t d = sizes.size(); d-- > 0;)
+        id = id * sizes[d] + digits[d];
+    return id;
+}
+
+int
+modulo(int a, int k)
+{
+    return ((a % k) + k) % k;
+}
+
+/** Native hop count of one dimension, from the block definitions. */
+int
+definedHops(BlockType type, int k, int a, int b)
+{
+    if (a == b)
+        return 0;
+    switch (type) {
+      case BlockType::Ring:
+        return std::min(modulo(b - a, k), modulo(a - b, k));
+      case BlockType::FullyConnected:
+        return 1;
+      case BlockType::Switch:
+        return 2;
+    }
+    return -1;
+}
+
+TEST(TopologyProperty, QueriesMatchMixedRadixDefinitions)
+{
+    // Shapes of 1-4 dims with sizes 1-9 over every block type; the
+    // coverage counters below prove size-1 dims and all three types
+    // were exercised.
+    Rng rng(46);
+    std::set<BlockType> types_seen;
+    int size_one_dims = 0;
+    int pair_checked_shapes = 0;
+    for (int trial = 0; trial < 120; ++trial) {
+        int ndims = static_cast<int>(rng.uniformInt(1, 4));
+        std::vector<Dimension> dims;
+        std::vector<int> sizes;
+        for (int d = 0; d < ndims; ++d) {
+            Dimension dim;
+            dim.type = static_cast<BlockType>(rng.uniformInt(0, 2));
+            dim.size = static_cast<int>(rng.uniformInt(1, 9));
+            types_seen.insert(dim.type);
+            size_one_dims += dim.size == 1 ? 1 : 0;
+            sizes.push_back(dim.size);
+            dims.push_back(dim);
+        }
+        Topology topo(dims);
+
+        // Every tiling group factor of every dimension, plus the
+        // whole-dimension shorthand (size 0).
+        std::vector<GroupDim> factors;
+        for (int d = 0; d < ndims; ++d) {
+            int k = sizes[size_t(d)];
+            factors.push_back(topo.normalizeGroup(GroupDim{d, 0, 1}));
+            for (int size = 1; size <= k; ++size)
+                for (int stride = 1; size * stride <= k; ++stride)
+                    if (k % (size * stride) == 0)
+                        factors.push_back(
+                            topo.normalizeGroup(GroupDim{d, size, stride}));
+        }
+
+        for (NpuId id = 0; id < topo.npus(); ++id) {
+            std::vector<int> digits = digitsOf(sizes, id);
+            for (int d = 0; d < ndims; ++d) {
+                int k = sizes[size_t(d)];
+                ASSERT_EQ(topo.coordInDim(id, d), digits[size_t(d)])
+                    << topo.notation() << " id " << id << " dim " << d;
+                for (int offset : {-k - 1, -1, 0, 1, 2, k, 2 * k + 1}) {
+                    std::vector<int> peer = digits;
+                    peer[size_t(d)] = modulo(digits[size_t(d)] + offset, k);
+                    ASSERT_EQ(topo.peerInDim(id, d, offset),
+                              idOfDigits(sizes, peer))
+                        << topo.notation() << " id " << id << " dim " << d
+                        << " offset " << offset;
+                }
+            }
+            for (const GroupDim &g : factors) {
+                int coord = digits[size_t(g.dim)];
+                int pos = (coord / g.stride) % g.size;
+                ASSERT_EQ(topo.posInGroup(id, g), pos)
+                    << topo.notation() << " id " << id << " group {"
+                    << g.dim << "," << g.size << "," << g.stride << "}";
+                std::vector<int> base = digits;
+                base[size_t(g.dim)] = coord - pos * g.stride;
+                ASSERT_EQ(topo.zeroGroup(id, g), idOfDigits(sizes, base));
+                for (int offset : {-1, 1, g.size + 1}) {
+                    std::vector<int> peer = digits;
+                    peer[size_t(g.dim)] =
+                        coord +
+                        (modulo(pos + offset, g.size) - pos) * g.stride;
+                    ASSERT_EQ(topo.peerInGroup(id, g, offset),
+                              idOfDigits(sizes, peer));
+                }
+            }
+        }
+
+        if (topo.npus() > 64)
+            continue;
+        ++pair_checked_shapes;
+        for (NpuId a = 0; a < topo.npus(); ++a) {
+            std::vector<int> da = digitsOf(sizes, a);
+            for (NpuId b = 0; b < topo.npus(); ++b) {
+                std::vector<int> db = digitsOf(sizes, b);
+                int total = 0;
+                for (int d = 0; d < ndims; ++d) {
+                    int hops = definedHops(dims[size_t(d)].type,
+                                           sizes[size_t(d)],
+                                           da[size_t(d)], db[size_t(d)]);
+                    ASSERT_EQ(topo.hopsInDim(da[size_t(d)], db[size_t(d)],
+                                             d),
+                              hops)
+                        << topo.notation() << " dim " << d;
+                    total += hops;
+                }
+                ASSERT_EQ(topo.hopsBetween(a, b), total)
+                    << topo.notation() << " " << a << " -> " << b;
+            }
+        }
+    }
+    EXPECT_EQ(types_seen.size(), 3u);
+    EXPECT_GT(size_one_dims, 0);
+    EXPECT_GT(pair_checked_shapes, 10);
+}
+
+TEST(TopologyProperty, OutOfRangeQueriesPanic)
+{
+    // The inline lookups keep their range checks: a bad id or
+    // dimension aborts with a message instead of reading past the
+    // coordinate table.
+    Topology topo({{BlockType::Ring, 4, 100.0, 100.0},
+                   {BlockType::Switch, 2, 50.0, 100.0}});
+    EXPECT_DEATH((void)topo.coordInDim(-1, 0), "NPU id -1 out of range");
+    EXPECT_DEATH((void)topo.coordInDim(8, 0), "NPU id 8 out of range");
+    EXPECT_DEATH((void)topo.coordInDim(0, -1),
+                 "dimension index -1 out of range");
+    EXPECT_DEATH((void)topo.coordInDim(0, 2),
+                 "dimension index 2 out of range");
+    EXPECT_DEATH((void)topo.dim(2), "dimension index 2 out of range");
+    EXPECT_DEATH((void)topo.hopsInDim(0, 1, 2),
+                 "dimension index 2 out of range");
 }
 
 } // namespace

@@ -3,8 +3,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
-#include <iterator>
 
 #include "common/logging.h"
 
@@ -274,6 +274,87 @@ Value::clone() const
     }
 }
 
+namespace {
+
+/** Newlines in [p, end). A byte counter per 64-byte block lets the
+ *  compiler vectorize the count. */
+size_t
+countNewlines(const char *p, const char *end)
+{
+    size_t n = 0;
+    for (; end - p >= 64; p += 64) {
+        unsigned char block = 0;
+        for (int i = 0; i < 64; ++i)
+            block += p[i] == '\n';
+        n += block;
+    }
+    for (; p != end; ++p)
+        n += *p == '\n';
+    return n;
+}
+
+} // namespace
+
+Reader::Reader(std::FILE *file, const std::string &path)
+    : file_(file), path_(path),
+      window_(std::make_unique_for_overwrite<char[]>(kWindowBytes)),
+      windowBytes_(kWindowBytes)
+{
+}
+
+Reader
+Reader::openFile(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    ASTRA_USER_CHECK(f != nullptr, "json: cannot open '%s'", path.c_str());
+    return Reader(f, path);
+}
+
+bool
+Reader::refill(size_t &keep)
+{
+    if (file_ == nullptr)
+        return false;
+    // Count the dropped bytes' lines, so errors name document lines.
+    const char *drop_end = text_.data() + keep;
+    if (size_t lines = countNewlines(text_.data(), drop_end)) {
+        line_ += lines;
+        const char *after_nl = drop_end;
+        while (after_nl[-1] != '\n')
+            --after_nl;
+        col_ = 1 + size_t(drop_end - after_nl);
+    } else {
+        col_ += keep;
+    }
+
+    size_t rest = text_.size() - keep;
+    if (rest == windowBytes_) { // a token fills the window: grow it.
+        auto bigger = std::make_unique_for_overwrite<char[]>(2 * rest);
+        std::memcpy(bigger.get(), window_.get(), rest);
+        window_ = std::move(bigger);
+        windowBytes_ = 2 * rest;
+    } else if (rest > 0) {
+        std::memmove(window_.get(), text_.data() + keep, rest);
+    }
+    pos_ -= keep;
+    keep = 0;
+    size_t want = windowBytes_ - rest;
+    size_t got = std::fread(window_.get() + rest, 1, want, file_.get());
+    ASTRA_USER_CHECK(!std::ferror(file_.get()), "json: cannot read '%s'",
+                     path_.c_str());
+    text_ = std::string_view(window_.get(), rest + got);
+    if (got < want)
+        file_.reset(); // the end of the file.
+    return got > 0;
+}
+
+bool
+Reader::refill()
+{
+    size_t keep = pos_;
+    return refill(keep);
+}
+
 Kind
 Reader::peek()
 {
@@ -368,6 +449,8 @@ Reader::readString(std::string &out)
                text_[pos_] != '\\')
             ++pos_;
         out.append(text_.data() + run, pos_ - run);
+        if (pos_ == text_.size() && refill())
+            continue;
         if (get() == '"')
             return;
         char e = get();
@@ -422,13 +505,12 @@ Reader::readString()
     return out;
 }
 
-double
-Reader::readNumber()
+namespace {
+
+/** End of the JSON number grammar's longest match at @p first. */
+const char *
+scanNumber(const char *first, const char *end)
 {
-    if (Kind k = peek(); k != Kind::Number)
-        expected("number", k);
-    const char *first = text_.data() + pos_;
-    const char *end = text_.data() + text_.size();
     const char *last = first;
     auto is = [&](char a, char b) {
         return last != end && (*last == a || *last == b);
@@ -450,16 +532,34 @@ Reader::readNumber()
             ++last;
         digits();
     }
+    return last;
+}
+
+} // namespace
+
+double
+Reader::readNumber()
+{
+    if (Kind k = peek(); k != Kind::Number)
+        expected("number", k);
+    // from_chars needs the number whole in the window: one that runs
+    // to the window's end is scanned again after a refill keeps it.
+    auto end = [this] { return text_.data() + text_.size(); };
+    size_t first = pos_;
+    const char *last = scanNumber(text_.data() + first, end());
+    while (last == end() && refill(first))
+        last = scanNumber(text_.data() + first, end());
+    const char *begin = text_.data() + first;
     pos_ = static_cast<size_t>(last - text_.data());
-    if (last == first)
+    if (last == begin)
         error("invalid number");
     // from_chars is correctly rounded like strtod, but locale-free, and
     // it keeps subnormals that strtod flags ERANGE. Values that
     // overflow to infinity or underflow to zero are still errors.
     double v = 0.0;
-    auto [ptr, ec] = std::from_chars(first, last, v);
+    auto [ptr, ec] = std::from_chars(begin, last, v);
     if (ec != std::errc() || ptr != last)
-        error("invalid number '" + std::string(first, last) + "'");
+        error("invalid number '" + std::string(begin, last) + "'");
     return v;
 }
 
@@ -516,7 +616,7 @@ Reader::finish()
 void
 Reader::error(const std::string &msg) const
 {
-    size_t line = 1, col = 1;
+    size_t line = line_, col = col_;
     for (size_t i = 0; i < pos_ && i < text_.size(); ++i) {
         if (text_[i] == '\n') {
             ++line;
@@ -529,26 +629,30 @@ Reader::error(const std::string &msg) const
           msg.c_str());
 }
 
-char
+inline char
 Reader::get()
 {
-    if (pos_ >= text_.size())
+    if (pos_ >= text_.size() && !refill())
         error("unexpected end of input");
     return text_[pos_++];
 }
 
-void
+inline void
 Reader::skipWs()
 {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r'))
-        ++pos_;
+    do {
+        while (pos_ < text_.size() &&
+               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+                text_[pos_] == '\n' || text_[pos_] == '\r'))
+            ++pos_;
+    } while (pos_ == text_.size() && refill());
 }
 
 bool
 Reader::consumeLiteral(std::string_view lit)
 {
+    while (text_.size() - pos_ < lit.size() && refill()) {
+    }
     if (text_.substr(pos_).starts_with(lit)) {
         pos_ += lit.size();
         return true;
@@ -591,42 +695,28 @@ readValue(Reader &r)
     return Value();
 }
 
+Value
+readDocument(Reader &r)
+{
+    Value v = readValue(r);
+    r.finish();
+    return v;
+}
+
 } // namespace
 
 Value
 parse(const std::string &text)
 {
     Reader r(text);
-    Value v = readValue(r);
-    r.finish();
-    return v;
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    ASTRA_USER_CHECK(in.is_open(), "json: cannot open '%s'", path.c_str());
-    std::string text;
-    std::streamoff size = in.tellg();
-    if (size >= 0) {
-        text.resize(static_cast<size_t>(size));
-        in.seekg(0);
-        in.read(text.data(), size);
-        ASTRA_USER_CHECK(in.gcount() == size, "json: cannot read '%s'",
-                         path.c_str());
-    } else {
-        // Not seekable (a pipe): read to the end instead.
-        in.clear();
-        text.assign(std::istreambuf_iterator<char>(in), {});
-    }
-    return text;
+    return readDocument(r);
 }
 
 Value
 parseFile(const std::string &path)
 {
-    return parse(readFile(path));
+    Reader r = Reader::openFile(path);
+    return readDocument(r);
 }
 
 void

@@ -7,14 +7,17 @@
  * Supports the full JSON grammar (objects, arrays, strings with
  * escapes, numbers, booleans, null). No external dependencies.
  *
- * Reader is the one lexer: parse() builds a Value tree with it, and
- * fixed-schema decoders (the ET loader, workload/et_json.h) read
- * values straight into their own structs without a tree.
+ * Reader is the one lexer: parse() and parseFile() build a Value tree
+ * with it, and fixed-schema decoders (the ET loader,
+ * workload/et_json.h) read values straight into their own structs
+ * without a tree. Files stream through one window; no whole-file text
+ * is held.
  */
 #ifndef ASTRA_COMMON_JSON_H_
 #define ASTRA_COMMON_JSON_H_
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -113,7 +116,16 @@ class Value
 };
 
 /**
- * Pull tokenizer over a JSON document held in memory.
+ * Pull tokenizer over a JSON document, read through a window.
+ *
+ * The document comes from one of two sources. A Reader built on text
+ * in memory sees the whole text as a window that never refills; the
+ * text must outlive the reader. A Reader from openFile() reads the
+ * file with fread through a window of kWindowBytes, refilled when a
+ * token reaches its end, so only one window of the file is in memory
+ * at a time. Whitespace, strings, escapes, numbers and literals may
+ * span a refill; a number longer than the window grows it. Pipes and
+ * other unseekable files stream the same way.
  *
  * Containers are walked with begin/next pairs; each member or element
  * value must be consumed (read*() or skipValue()) before the next
@@ -127,13 +139,20 @@ class Value
  *             r.skipValue();
  *     }
  *
- * Every syntax or kind error is fatal() with the line and column.
- * The text must outlive the reader.
+ * Every syntax or kind error is fatal() with the line and column,
+ * counted over the whole document: both sources give the same message
+ * for the same bytes.
  */
 class Reader
 {
   public:
+    /** Bytes of a file held at a time, unless one number is longer. */
+    static constexpr size_t kWindowBytes = size_t(256) << 10;
+
     explicit Reader(std::string_view text) : text_(text) {}
+
+    /** Stream the document in a file; fatal() if it cannot be opened. */
+    static Reader openFile(const std::string &path);
 
     /**
      * Kind of the next value, after skipping whitespace. A character
@@ -164,28 +183,53 @@ class Reader
     void finish();
 
   private:
+    struct FileCloser
+    {
+        void operator()(std::FILE *f) const { std::fclose(f); }
+    };
+
+    Reader(std::FILE *file, const std::string &path);
+
     /** fatal() with the current line and column. */
     [[noreturn]] void error(const std::string &msg) const;
-    char get();
-    void skipWs();
+    // Inline, and defined in json.cc, the one user: they are on the
+    // path of every token; only their refill is out of line.
+    inline char get();
+    inline void skipWs();
     bool consumeLiteral(std::string_view lit);
     [[noreturn]] void expected(const char *what, Kind got) const;
+    /**
+     * Drop the window's bytes before `keep`, which becomes 0, and read
+     * more after the rest. False at the end of the input; always
+     * false for text in memory, which has no more.
+     */
+    [[gnu::cold]] bool refill(size_t &keep);
+    /** refill() keeping the bytes from the cursor on. */
+    [[gnu::cold]] bool refill();
 
-    std::string_view text_;
+    std::string_view text_; //!< the window; pos_ indexes it.
     size_t pos_ = 0;
     /** Between begin*() and the first next*() of that container. */
     bool first_ = false;
     std::string skipped_; //!< reused buffer for strings skipValue() drops.
+
+    // File source only. The file is closed at its end.
+    std::unique_ptr<std::FILE, FileCloser> file_;
+    std::string path_;
+    /** Not zero-filled: a small file touches only the bytes it reads. */
+    std::unique_ptr<char[]> window_;
+    size_t windowBytes_ = 0;
+    /** Line and column of the window's first byte. */
+    size_t line_ = 1;
+    size_t col_ = 1;
 };
 
 /** Parse a JSON document; fatal() with line/column info on syntax error. */
 Value parse(const std::string &text);
 
-/** Parse the JSON document stored in a file; fatal() if unreadable. */
+/** Parse the JSON document in a file, streamed through a Reader;
+ *  fatal() if unreadable. */
 Value parseFile(const std::string &path);
-
-/** Read a whole file into one string sized to it; fatal() if unreadable. */
-std::string readFile(const std::string &path);
 
 /** Write a JSON document to a file; fatal() if unwritable. */
 void writeFile(const std::string &path, const Value &v, int indent = 2);

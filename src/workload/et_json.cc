@@ -304,33 +304,9 @@ readGraph(json::Reader &r, std::string &key, size_t index)
     return graph;
 }
 
-} // namespace
-
-json::Value
-workloadToJson(const Workload &wl)
-{
-    json::Object doc;
-    doc["schema"] = json::Value(kSchema);
-    doc["name"] = json::Value(wl.name);
-    doc["npus"] = json::Value(static_cast<int64_t>(wl.graphs.size()));
-    json::Array graphs;
-    for (const EtGraph &g : wl.graphs) {
-        json::Object go;
-        go["npu"] = json::Value(g.npu);
-        json::Array nodes;
-        for (const EtNode &node : g.nodes)
-            nodes.push_back(nodeToJson(node));
-        go["nodes"] = json::Value(std::move(nodes));
-        graphs.push_back(json::Value(std::move(go)));
-    }
-    doc["graphs"] = json::Value(std::move(graphs));
-    return json::Value(std::move(doc));
-}
-
 Workload
-workloadFromJson(std::string_view text)
+decodeWorkload(json::Reader &r)
 {
-    json::Reader r(text);
     Workload wl;
     wl.name = "trace";
     std::string key, schema = "<missing>";
@@ -369,6 +345,29 @@ workloadFromJson(std::string_view text)
     return wl;
 }
 
+} // namespace
+
+json::Value
+workloadToJson(const Workload &wl)
+{
+    json::Object doc;
+    doc["schema"] = json::Value(kSchema);
+    doc["name"] = json::Value(wl.name);
+    doc["npus"] = json::Value(static_cast<int64_t>(wl.graphs.size()));
+    json::Array graphs;
+    for (const EtGraph &g : wl.graphs) {
+        json::Object go;
+        go["npu"] = json::Value(g.npu);
+        json::Array nodes;
+        for (const EtNode &node : g.nodes)
+            nodes.push_back(nodeToJson(node));
+        go["nodes"] = json::Value(std::move(nodes));
+        graphs.push_back(json::Value(std::move(go)));
+    }
+    doc["graphs"] = json::Value(std::move(graphs));
+    return json::Value(std::move(doc));
+}
+
 void
 saveWorkload(const std::string &path, const Workload &wl)
 {
@@ -376,11 +375,19 @@ saveWorkload(const std::string &path, const Workload &wl)
 }
 
 Workload
+workloadFromJson(std::string_view text)
+{
+    json::Reader r(text);
+    return decodeWorkload(r);
+}
+
+Workload
 loadWorkload(const std::string &path)
 {
-    // The text is the only copy of the file in memory; no json::Value
-    // tree is built (docs/workload.md, memory contract).
-    return workloadFromJson(json::readFile(path));
+    // One window of the file is in memory at a time, and no
+    // json::Value tree is built (docs/workload.md, memory contract).
+    json::Reader r = json::Reader::openFile(path);
+    return decodeWorkload(r);
 }
 
 } // namespace astra

@@ -30,7 +30,8 @@ json::Value workloadToJson(const Workload &wl);
  */
 Workload workloadFromJson(std::string_view text);
 
-/** File helpers. */
+/** File helpers. loadWorkload streams the file through a
+ *  json::Reader window and decodes it as workloadFromJson does. */
 void saveWorkload(const std::string &path, const Workload &wl);
 Workload loadWorkload(const std::string &path);
 

@@ -4,11 +4,14 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/json.h"
 #include "common/logging.h"
+#include "common/rng.h"
+#include "token_splits.h"
 
 namespace astra {
 namespace json {
@@ -232,6 +235,197 @@ TEST(Json, FileRoundTrip)
     Value back = parseFile(path);
     EXPECT_EQ(back.dump(), v.dump());
     EXPECT_THROW(parseFile("/nonexistent/astra.json"), FatalError);
+}
+
+using testing_json::errorOf;
+using testing_json::Lexed;
+using testing_json::Tok;
+using testing_json::writeTemp;
+
+constexpr size_t kWindow = Reader::kWindowBytes;
+
+/** Seeded string: letters, quotes, backslashes, control characters
+ *  (written as \u escapes) and UTF-8 bytes. */
+std::string
+randomString(Rng &rng, size_t len)
+{
+    static const char *const kPieces[] = {
+        "a", "b", "Z", "7", " ", "\"", "\\", "/", "\n", "\t", "\x01",
+        "\x1f", "\xc3\xa9",
+    };
+    const int64_t n = int64_t(std::size(kPieces));
+    std::string s;
+    while (s.size() < len)
+        s += kPieces[rng.uniformInt(0, n - 1)];
+    return s;
+}
+
+/** A seeded value: short strings full of escapes, a rare long one,
+ *  exponent numbers, integers, literals and small containers. */
+Value
+randomValue(Rng &rng, int depth)
+{
+    switch (rng.uniformInt(0, depth < 2 ? 6 : 4)) {
+      case 0: {
+        bool long_string = rng.uniformInt(0, 99) == 0;
+        return Value(randomString(rng, long_string ? 1000 : 4));
+      }
+      case 1:
+        return Value(rng.uniform(1.0, 10.0) *
+                     std::pow(10.0, double(rng.uniformInt(-300, 300))));
+      case 2: return Value(int64_t(rng.uniformInt(-1000000, 1000000)));
+      case 3: return Value(rng.uniformInt(0, 1) == 1);
+      case 4: return Value();
+      case 5: {
+        Array a;
+        for (int64_t n = rng.uniformInt(0, 4); n > 0; --n)
+            a.push_back(randomValue(rng, depth + 1));
+        return Value(std::move(a));
+      }
+      default: {
+        Object o;
+        for (int64_t n = rng.uniformInt(0, 4); n > 0; --n)
+            o[randomString(rng, 2)] = randomValue(rng, depth + 1);
+        return Value(std::move(o));
+      }
+    }
+}
+
+/** A seeded array of at least @p min_bytes compact bytes. */
+Value
+randomDocument(uint64_t seed, size_t min_bytes)
+{
+    Rng rng(seed);
+    Array items;
+    size_t bytes = 0;
+    while (bytes < min_bytes) {
+        items.push_back(randomValue(rng, 0));
+        bytes += items.back().dump().size() + 1;
+    }
+    return Value(std::move(items));
+}
+
+/** Whitespace of @p n bytes, cycling through every whitespace byte. */
+std::string
+leadingSpace(size_t n)
+{
+    std::string s;
+    for (size_t i = 0; i < n; ++i)
+        s += " \t\r\n"[i % 4];
+    return s;
+}
+
+TEST(JsonFile, StreamedDocumentsMatchTheInMemoryParse)
+{
+    Value doc = randomDocument(17, 2 * kWindow + 1000);
+    std::set<Tok> split;
+    for (int indent : {-1, 2}) {
+        const std::string text = doc.dump(indent);
+        ASSERT_GT(text.size(), 2 * kWindow);
+        const std::string expect = parse(text).dump();
+        ASSERT_EQ(expect, doc.dump());
+        Lexed lexed(text);
+        for (size_t shift = 0; shift < 64; ++shift) {
+            std::string path = writeTemp("astra_json_split.json",
+                                         leadingSpace(shift) + text);
+            EXPECT_EQ(parseFile(path).dump(), expect)
+                << "indent " << indent << " shift " << shift;
+            if (Tok k; lexed.splitAt(kWindow - shift, k))
+                split.insert(k);
+        }
+    }
+    // The first refill fell inside every kind of multi-byte token.
+    EXPECT_EQ(split, (std::set<Tok>{Tok::Space, Tok::String, Tok::Escape,
+                                    Tok::UEscape, Tok::Number,
+                                    Tok::Literal}));
+}
+
+/** parseFile and parse of @p text agree, value or error message. */
+void
+expectSameParse(const std::string &text)
+{
+    std::string path = writeTemp("astra_json_edge.json", text);
+    std::string file_err, mem_err, file_dump, mem_dump;
+    file_err = errorOf([&] { file_dump = parseFile(path).dump(); });
+    mem_err = errorOf([&] { mem_dump = parse(text).dump(); });
+    EXPECT_EQ(file_err, mem_err);
+    EXPECT_EQ(file_dump, mem_dump);
+}
+
+/** @p token placed so that the first refill falls after its
+ *  @p head bytes, inside a one-key document. */
+std::string
+splitDocument(const std::string &token, size_t head)
+{
+    std::string open = "{\"k\": ";
+    return open + std::string(kWindow - head - open.size(), ' ') + token +
+           "}";
+}
+
+TEST(JsonFile, TokensSplitExactlyAtARefill)
+{
+    // A \u escape split after "\u00", a number split inside its
+    // exponent, a literal split after "tr".
+    expectSameParse(splitDocument("\"ab\\u00e9cd\"", 7));
+    expectSameParse(splitDocument("-12.5e-3", 6));
+    expectSameParse(splitDocument("true", 2));
+    Value v = parseFile(writeTemp("astra_json_edge.json",
+                                  splitDocument("\"ab\\u00e9cd\"", 7)));
+    EXPECT_EQ(v.at("k").asString(), "ab\xc3\xa9"
+                                    "cd");
+    // A CRLF split between \r and \n, then an error whose line and
+    // column count both bytes.
+    std::string crlf = "{\"k\":" + std::string(kWindow - 6, ' ') +
+                       "\r\n \"v\" x}";
+    ASSERT_EQ(crlf[kWindow - 1], '\r');
+    expectSameParse(crlf);
+    EXPECT_EQ(errorOf([&] {
+                  parseFile(writeTemp("astra_json_edge.json", crlf));
+              }),
+              "json parse error at line 2 col 7: expected ',' or '}' in "
+              "object");
+}
+
+TEST(JsonFile, TokensLongerThanTheWindow)
+{
+    // A string streams through the window; a number grows it.
+    std::string name(kWindow + 12345, 'n');
+    name[kWindow / 2] = '\x01';
+    Value doc(Object{{"name", Value(name)}});
+    EXPECT_EQ(parseFile(writeTemp("astra_json_long.json", doc.dump()))
+                  .at("name")
+                  .asString(),
+              name);
+    std::string mantissa = "1." + std::string(2 * kWindow + 7, '0') + "1";
+    expectSameParse("[" + mantissa + "e2]");
+    EXPECT_EQ(parseFile(writeTemp("astra_json_long.json", mantissa + "e2"))
+                  .asNumber(),
+              100.0);
+    // A bad number that long is named in full, as in memory.
+    expectSameParse(mantissa + "e");
+}
+
+TEST(JsonFile, ErrorsMatchTheInMemoryParse)
+{
+    std::string body;
+    while (body.size() < 2 * kWindow)
+        body += "{\"a\": [1, 2.5e3, true, null],\n \"s\": \"x\\u0041\"},\n";
+    // A file that ends inside a string.
+    const std::string open_string = "[" + body + "\"unterminated";
+    expectSameParse(open_string);
+    EXPECT_NE(errorOf([&] { parse(open_string); })
+                  .find("unexpected end of input"),
+              std::string::npos);
+    // A syntax error in the last window.
+    expectSameParse("[" + body + "{\"a\" 1}]");
+    expectSameParse("[" + body + "tru]");
+    expectSameParse("[" + body + "1]  x");
+    // Errors on lines that span refills, the first line and a later.
+    expectSameParse(std::string(kWindow + 5, ' ') + "x");
+    expectSameParse("[\n" + std::string(2 * kWindow, ' ') + "1 2]");
+    // A missing file.
+    EXPECT_EQ(errorOf([] { parseFile("/nonexistent/astra.json"); }),
+              "json: cannot open '/nonexistent/astra.json'");
 }
 
 } // namespace

@@ -1,7 +1,12 @@
 /** @file Unit tests for ET JSON (de)serialization. */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <set>
+
+#include "../common/token_splits.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "workload/builders.h"
 #include "workload/et_json.h"
 
@@ -216,6 +221,136 @@ TEST(EtJson, OutOfRangeIntegersAreFatalAndNamed)
         R"({"schema":"astra-sim-et-v2","npus":1,)"
         R"("graphs":[{"npu":1e12,"nodes":[]}]})");
     EXPECT_NE(msg.find("graphs[0]: 'npu'"), std::string::npos) << msg;
+}
+
+using testing_json::errorOf;
+using testing_json::Lexed;
+using testing_json::Tok;
+using testing_json::writeTemp;
+
+constexpr size_t kWindow = json::Reader::kWindowBytes;
+
+/**
+ * A GPT-3 hybrid builder workload made to exercise the file windows,
+ * seeded: every node gets a name that opens with a quote, `\u` and `\n`
+ * escapes and goes on with random escapes, control characters and
+ * UTF-8; compute flops are in exponent form; every fourth node becomes
+ * a fused remote store; each graph ends with a send/recv pair. The
+ * first node's long name is padded so that in the compact dump a
+ * store's `true`, its id and its name's escapes sit in the 64 bytes
+ * before the first refill.
+ */
+Workload
+windowedWorkload(uint64_t seed)
+{
+    static const char *const kPieces[] = {"w", "Q", "-", "\"", "\\",
+                                          "\n", "\t", "\x02", "\xc3\xa9"};
+    const int64_t pieces = int64_t(std::size(kPieces));
+    Topology topo({{BlockType::Ring, 8, 100.0, 100.0},
+                   {BlockType::Switch, 8, 50.0, 100.0}});
+    HybridOptions opts;
+    opts.mp = 8;
+    opts.simLayers = 7;
+    Workload wl = buildHybridTransformer(topo, gpt3(), opts);
+    Rng rng(seed);
+    for (EtGraph &g : wl.graphs) {
+        for (EtNode &node : g.nodes) {
+            node.name = "\"\x02\n\x02";
+            size_t len = &node == &wl.graphs[0].nodes[0]
+                             ? 3000
+                             : size_t(rng.uniformInt(4, 10));
+            while (node.name.size() < len)
+                node.name += kPieces[rng.uniformInt(0, pieces - 1)];
+            if (node.id % 4 == 3) {
+                node.type = NodeType::Memory;
+                node.memOp = MemOp::Store;
+                node.location = MemLocation::Remote;
+                node.memBytes = 1.25e-3 * node.id;
+                node.fused = true;
+            } else if (node.type == NodeType::Compute) {
+                node.flops = rng.uniform(1.0, 10.0) *
+                             std::pow(10.0, double(rng.uniformInt(16, 300)));
+            }
+        }
+        EtNode send;
+        send.id = int(g.nodes.size());
+        send.type = NodeType::CommSend;
+        send.peer = (g.npu + 1) % int(wl.graphs.size());
+        send.p2pBytes = 4096;
+        send.tag = uint64_t(rng.uniformInt(0, 1 << 30));
+        EtNode recv = send;
+        recv.id = send.id + 1;
+        recv.type = NodeType::CommRecv;
+        g.nodes.push_back(send);
+        g.nodes.push_back(recv);
+    }
+    // Everything after the first name moves with its length.
+    const std::string text = workloadToJson(wl).dump();
+    size_t fused = text.rfind("\"fused\":true", kWindow - 68);
+    wl.graphs[0].nodes[0].name.append(kWindow - 60 - (fused + 8), 'w');
+    return wl;
+}
+
+TEST(EtJsonFile, StreamedLoadsMatchTheInMemoryDecode)
+{
+    const json::Value doc = workloadToJson(windowedWorkload(5));
+    const std::string expect = doc.dump();
+    std::set<Tok> split;
+    for (int indent : {-1, 2}) {
+        const std::string text = doc.dump(indent);
+        ASSERT_GT(text.size(), 2 * kWindow);
+        ASSERT_EQ(workloadToJson(workloadFromJson(text)).dump(), expect);
+        Lexed lexed(text);
+        for (size_t shift = 0; shift < 64; ++shift) {
+            std::string path = writeTemp("astra_et_split.json",
+                                         std::string(shift, '\n') + text);
+            EXPECT_EQ(workloadToJson(loadWorkload(path)).dump(), expect)
+                << "indent " << indent << " shift " << shift;
+            if (Tok k; lexed.splitAt(kWindow - shift, k))
+                split.insert(k);
+        }
+    }
+    // The first refill fell inside every kind of multi-byte token.
+    EXPECT_EQ(split, (std::set<Tok>{Tok::Space, Tok::String, Tok::Escape,
+                                    Tok::UEscape, Tok::Number,
+                                    Tok::Literal}));
+}
+
+TEST(EtJsonFile, NameLongerThanTheWindow)
+{
+    Workload wl = richWorkload();
+    wl.graphs[1].nodes[2].name = std::string(kWindow + 999, 'x') + "\x01";
+    std::string path = testing::TempDir() + "/astra_et_long.json";
+    saveWorkload(path, wl);
+    Workload back = loadWorkload(path);
+    EXPECT_EQ(back.graphs[1].nodes[2].name, wl.graphs[1].nodes[2].name);
+    EXPECT_EQ(workloadToJson(back).dump(), workloadToJson(wl).dump());
+}
+
+TEST(EtJsonFile, ErrorsMatchTheInMemoryDecode)
+{
+    const std::string text = workloadToJson(windowedWorkload(9)).dump(2);
+    ASSERT_GT(text.size(), 2 * kWindow);
+    auto same = [](const std::string &doc) {
+        std::string path = writeTemp("astra_et_bad.json", doc);
+        std::string mem = errorOf([&] { workloadFromJson(doc); });
+        EXPECT_NE(mem, "");
+        EXPECT_EQ(errorOf([&] { loadWorkload(path); }), mem);
+    };
+    // A file that ends inside a string.
+    size_t quote = text.rfind("\"name\"");
+    same(text.substr(0, quote + 12));
+    EXPECT_NE(errorOf([&] { workloadFromJson(text.substr(0, quote + 12)); })
+                  .find("unexpected end of input"),
+              std::string::npos);
+    // A syntax error in the last window.
+    std::string bad = text;
+    bad.replace(bad.rfind(':'), 1, " ");
+    same(bad);
+    // A schema error found after the last window.
+    same(text.substr(0, text.rfind('}')) + ", \"npus\": 3}");
+    EXPECT_EQ(errorOf([] { loadWorkload("/nonexistent/et.json"); }),
+              "json: cannot open '/nonexistent/et.json'");
 }
 
 } // namespace
